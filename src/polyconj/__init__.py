@@ -26,7 +26,6 @@ from .errors import (
     PolyconjError,
     SoundnessError,
     StateLimitError,
-    TableTooLargeError,
 )
 from .formats import CertificateFile, SolutionFile, parse_instance, serialize_instance
 from .generate import GenSpec, generate
@@ -54,7 +53,9 @@ from .reductions import (
     push_sspprime_solution_to_tssp,
     signed_sum,
     solve_ssp_brute,
+    solve_ssp_dp,
     solve_sspprime_brute,
+    solve_sspprime_dp,
     ssp_search_via_decision,
     ssp_to_sspprime,
     sspprime_to_tssp,
@@ -63,10 +64,7 @@ from .reductions import (
 )
 from .tssp import (
     Assignment,
-    DpTable,
     TsspInstance,
-    build_dp,
-    extract_assignment,
     solve_tssp_brute,
     solve_tssp_dp,
     twisted_sum,
@@ -80,7 +78,6 @@ __all__ = [
     "Certificate",
     "CertificateFile",
     "ConjugacyInstance",
-    "DpTable",
     "GenSpec",
     "GroupContext",
     "GroupElement",
@@ -99,19 +96,16 @@ __all__ = [
     "SspInstance",
     "SspPrimeInstance",
     "StateLimitError",
-    "TableTooLargeError",
     "TsspInstance",
     "Word",
     "assignment_to_conjugator",
     "bit_length",
-    "build_dp",
     "collect",
     "conjugate",
     "conjugate_by_syllable",
     "conjugator_to_assignment",
     "decide_conjugate",
     "element_to_word",
-    "extract_assignment",
     "generate",
     "identity",
     "inverse",
@@ -129,7 +123,9 @@ __all__ = [
     "serialize_instance",
     "signed_sum",
     "solve_ssp_brute",
+    "solve_ssp_dp",
     "solve_sspprime_brute",
+    "solve_sspprime_dp",
     "solve_tssp_brute",
     "solve_tssp_dp",
     "ssp_search_via_decision",

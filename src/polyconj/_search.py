@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import SoundnessError
+
 _CHUNK = 1 << 16
 _INT64_SAFE = 1 << 62
 
@@ -34,7 +36,7 @@ def _lex_ternary(index: int, n: int) -> tuple[int, ...]:
 
 def _verified(candidate, target, evaluate):
     if evaluate(candidate) != target:
-        raise AssertionError("vectorized scan returned a row that fails exact re-check")
+        raise SoundnessError("vectorized scan returned a row that fails exact re-check")
     return candidate
 
 

@@ -1,10 +1,12 @@
-"""Benchmark harness for the twisted-subset-sum table solver.
+"""Benchmark harness for the reachability sweep, run as the TSSP solver.
 
-Two suites:
+Two suites, both timing ``tssp.residual_sweep`` and counting the states it
+touches:
 
 * ``scaling``: fixed n, coefficient magnitudes scaled so sum|k_i| = S for a
-  range of S.  Demonstrates pseudo-polynomial behaviour: wall time stays
-  inside a quadratic envelope in S (the sparse rows make it nearly flat).
+  range of S.  Wall time stays inside a quadratic envelope in S; at n = 10
+  each stage holds at most 2^n values, so it is nearly flat and says little
+  about the pseudo-polynomial regime.
 * ``adversarial``: fixed n, random coefficients of a given bit-length.
   Touched-state counts at least double when the bit-length doubles, which
   is the exponential regime that keeps the problem NP-complete in binary.
@@ -16,7 +18,7 @@ import random
 import time
 from typing import Sequence
 
-from .tssp import TsspInstance, build_dp, extract_assignment, twisted_sum
+from .tssp import TsspInstance, residual_sweep, twisted_sum
 
 SCALING_N = 10
 SCALING_SUMS = (10**3, 10**4, 10**5, 10**6)
@@ -41,30 +43,26 @@ def _adversarial_instance(rng: random.Random, n: int, bit_length: int) -> TsspIn
     return TsspInstance(coefficients=coeffs, target=twisted_sum(coeffs, bits))
 
 
-def _timed_solve(inst: TsspInstance, max_cells: int, repeats: int) -> tuple[float, int]:
+def _timed_sweep(inst: TsspInstance, repeats: int) -> tuple[float, int]:
     best = float("inf")
-    table = None
     for _ in range(repeats):
         start = time.perf_counter()
-        table = build_dp(inst, max_cells=max_cells)
-        extract_assignment(table, inst.target)
+        stages = residual_sweep(inst)
         best = min(best, time.perf_counter() - start)
-    assert table is not None
-    return best, table.total_marks
+    return best, sum(len(stage) for stage in stages)
 
 
 def scaling_rows(
     n: int = SCALING_N,
     sums: Sequence[int] = SCALING_SUMS,
     seed: int = 20250809,
-    max_cells: int = 10**8,
     repeats: int = 3,
 ) -> list[dict]:
     rng = random.Random(seed)
     rows = []
     for total in sums:
         inst = _scaled_instance(rng, n, total)
-        seconds, states = _timed_solve(inst, max_cells, repeats)
+        seconds, states = _timed_sweep(inst, repeats)
         rows.append(
             {
                 "n": n,
@@ -81,13 +79,12 @@ def adversarial_rows(
     n: int = ADVERSARIAL_N,
     bit_lengths: Sequence[int] = ADVERSARIAL_BITS,
     seed: int = 20250809,
-    max_cells: int = 10**8,
 ) -> list[dict]:
     rng = random.Random(seed)
     rows = []
     for bits in bit_lengths:
         inst = _adversarial_instance(rng, n, bits)
-        seconds, states = _timed_solve(inst, max_cells, repeats=1)
+        seconds, states = _timed_sweep(inst, repeats=1)
         rows.append(
             {
                 "n": n,

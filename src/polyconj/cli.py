@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +32,9 @@ from .reductions import (
     pullback_sspprime_to_ssp,
     pullback_tssp_to_sspprime,
     solve_ssp_brute,
+    solve_ssp_dp,
     solve_sspprime_brute,
+    solve_sspprime_dp,
     ssp_search_via_decision,
     ssp_to_sspprime,
     sspprime_to_tssp,
@@ -50,7 +53,13 @@ _EXPECTED = {
 
 
 def _load(path: str, kind: str):
-    obj = parse_instance(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    obj = parse_instance(text)
     expected = _EXPECTED[kind]
     if not isinstance(obj, expected):
         raise InvalidParameterError(
@@ -63,51 +72,23 @@ def _emit(obj) -> None:
     sys.stdout.write(serialize_instance(obj))
 
 
-def _solve_sspp_via_table(inst: SspPrimeInstance, max_cells: int):
-    assign = solve_tssp_dp(sspprime_to_tssp(inst), max_cells=max_cells)
-    if assign is None:
-        return None
-    return pullback_tssp_to_sspprime(inst, assign)
-
-
-def _solve_ssp_via_table(inst: SspInstance, max_cells: int):
-    prime = ssp_to_sspprime(inst)
-    values = _solve_sspp_via_table(prime, max_cells)
-    if values is None:
-        return None
-    return pullback_sspprime_to_ssp(inst, values)
-
-
 def _cmd_solve(args) -> int:
     inst = _load(args.file, args.problem)
     if args.search and args.problem != "ssp":
         raise InvalidParameterError("--search only applies to ssp (the decision-to-search wrapper)")
 
-    if args.problem == "tssp":
-        if args.method == "brute":
-            witness = solve_tssp_brute(inst)
-        else:
-            witness = solve_tssp_dp(inst, max_cells=args.max_cells)
-    elif args.problem == "sspp":
-        if args.method == "brute":
-            witness = solve_sspprime_brute(inst)
-        else:
-            witness = _solve_sspp_via_table(inst, args.max_cells)
+    if args.method == "brute":
+        solve = {"ssp": solve_ssp_brute, "sspp": solve_sspprime_brute,
+                 "tssp": solve_tssp_brute}[args.problem]
     else:
-        if args.method == "brute":
-            def decider(i):
-                return solve_ssp_brute(i) is not None
-        else:
-            def decider(i):
-                return _solve_ssp_via_table(i, args.max_cells) is not None
-        if args.search:
-            if not decider(inst):
-                return 1
-            witness = ssp_search_via_decision(decider, inst)
-        elif args.method == "brute":
-            witness = solve_ssp_brute(inst)
-        else:
-            witness = _solve_ssp_via_table(inst, args.max_cells)
+        solve = partial({"ssp": solve_ssp_dp, "sspp": solve_sspprime_dp,
+                         "tssp": solve_tssp_dp}[args.problem], max_states=args.max_states)
+    if args.search:
+        if solve(inst) is None:
+            return 1
+        witness = ssp_search_via_decision(lambda i: solve(i) is not None, inst)
+    else:
+        witness = solve(inst)
 
     if witness is None:
         return 1
@@ -198,15 +179,30 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.suite in ("scaling", "all"):
-        rows = bench_mod.scaling_rows(seed=args.seed, max_cells=args.max_cells)
-        print("table solver on unary-scaled instances (fixed n, growing S)")
+        rows = bench_mod.scaling_rows(seed=args.seed)
+        print("tssp sweep on unary-scaled instances (fixed n, growing S)")
         print(bench_mod.format_table(rows, ("n", "S", "seconds", "states", "dense_cells")))
         print()
     if args.suite in ("adversarial", "all"):
-        rows = bench_mod.adversarial_rows(seed=args.seed, max_cells=args.max_cells)
-        print("table solver on random coefficients of growing bit-length")
+        rows = bench_mod.adversarial_rows(seed=args.seed)
+        print("tssp sweep on random coefficients of growing bit-length")
         print(bench_mod.format_table(rows, ("n", "coefficient_bits", "S", "seconds", "states")))
     return 0
+
+
+def _state_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_state_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-states", type=_state_cap, default=10**7,
+                   help="cap on the states the reachability sweep may touch (default 10^7)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,11 +216,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=("ssp", "sspp", "tssp"))
     p.add_argument("file", help="instance file")
     p.add_argument("--method", choices=("brute", "dp"), default="dp",
-                   help="brute enumeration or the pseudo-polynomial table (default)")
+                   help="brute enumeration or the pseudo-polynomial sweep (default)")
     p.add_argument("--search", action="store_true",
                    help="ssp only: recover the witness through the decision oracle")
-    p.add_argument("--max-cells", type=int, default=10**8,
-                   help="cap on (n+1)*(2S+1) before the table solver refuses")
+    _add_state_cap(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="transform an instance along one reduction hop")
@@ -244,8 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("decide", "search", "verify"))
     p.add_argument("file", help="conj instance file")
     p.add_argument("certificate", nargs="?", help="cert file (verify only)")
-    p.add_argument("--max-states", type=int, default=10**7,
-                   help="cap on reachability states before giving up")
+    _add_state_cap(p)
     p.set_defaults(func=_cmd_conj)
 
     p = sub.add_parser("gen", help="generate a random instance deterministically")
@@ -260,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="print solver scaling tables")
     p.add_argument("--suite", choices=("scaling", "adversarial", "all"), default="all")
     p.add_argument("--seed", type=int, default=20250809)
-    p.add_argument("--max-cells", type=int, default=10**8)
     p.set_defaults(func=_cmd_bench)
 
     return parser

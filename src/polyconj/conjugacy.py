@@ -9,20 +9,27 @@ remain:
   explicit conjugator (the fast path);
 * every even coordinate is even: only products of even-indexed generators
   matter, each used with exponent 0 or 1, and the set of reachable g_1
-  exponents is computed by a sweep that maps a value s to s (generator
-  skipped) or to -(s + e_{j+1}) (generator used).
+  exponents is computed by the shared kernel of :mod:`polyconj._sweep`,
+  run from e_1 over g_{2n} down to g_2, with two branches that map a value
+  s to s (generator skipped) or to -(s + e_{j+1}) (generator used).
 
-The sweep keeps back-pointers so a deciding "yes" converts into an explicit
-certificate, which is always re-verified before being returned.
+The same sweep solves TSSP, since ``tssp_to_conjugacy`` makes these g_1
+exponents the negated twisted sums.  Its back-pointers turn a deciding
+"yes" into an explicit certificate, which is always re-verified before
+being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidElementError, NotAllEvenError, SoundnessError, StateLimitError
-from .group import GroupContext, GroupElement, _even_parity, conjugate
+from . import _sweep
+from .errors import NotAllEvenError, SoundnessError
+from .group import GroupContext, GroupElement, _check, _even_parity, conjugate
 from .reductions import assignment_to_conjugator
+
+# Sweep branches (sign, weight): s -> s skips g_j, s -> -e - s uses it.
+_BRANCHES = ((1, 0), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -53,14 +60,6 @@ class ReachableSet:
         return frozenset(self.stages[-1].table)
 
 
-def _check(ctx: GroupContext, a: GroupElement) -> None:
-    if len(a) != ctx.hirsch:
-        raise InvalidElementError(
-            f"element of length {len(a)} does not belong to G({ctx.n}) "
-            f"(expected {ctx.hirsch} exponents)"
-        )
-
-
 def _all_evens_even(ctx: GroupContext, u: GroupElement) -> bool:
     return not any(u[t] & 1 for t in range(1, ctx.hirsch, 2))
 
@@ -79,23 +78,12 @@ def reachable_g1_values(
         raise NotAllEvenError(
             "reachability sweep needs all even coordinates of u to be even"
         )
-    stages = []
-    values = (u[0],)
-    states = 0
-    for j in range(2 * ctx.n, 0, -2):
-        addend = u[j]  # exponent of g_{j+1}
-        table: dict[int, tuple[int, int]] = {}
-        for s in values:
-            table.setdefault(s, (s, 0))
-        for s in values:
-            table.setdefault(-(s + addend), (s, 1))
-        states += len(table)
-        if states > max_states:
-            raise StateLimitError(
-                f"reachability sweep exceeded {max_states} states at g_{j}"
-            )
-        stages.append(ReachableStage(generator_index=j, addend=addend, table=table))
-        values = tuple(table)
+    indices = range(2 * ctx.n, 0, -2)  # g_j drags in e_{j+1} = u[j]
+    tables = _sweep.sweep(u[0], [u[j] for j in indices], _BRANCHES, max_states)
+    stages = [
+        ReachableStage(generator_index=j, addend=u[j], table=table)
+        for j, table in zip(indices, tables)
+    ]
     return ReachableSet(start=u[0], stages=tuple(stages))
 
 
@@ -143,14 +131,10 @@ def search_conjugator(
         return _verified(ctx, u, v, cert)
 
     reach = reachable_g1_values(ctx, u, max_states=max_states)
-    if v[0] not in reach.stages[-1].table:
+    choices = _sweep.trace([stage.table for stage in reach.stages], v[0])
+    if choices is None:
         return None
-    bits_by_generator: dict[int, int] = {}
-    value = v[0]
-    for stage in reversed(reach.stages):
-        value, bit = stage.table[value]
-        bits_by_generator[stage.generator_index] = bit
-    assignment = tuple(bits_by_generator[2 * i] for i in range(1, ctx.n + 1))
+    assignment = choices[::-1]  # the stages run from g_{2n} down to g_2
     cert = Certificate(w=assignment_to_conjugator(ctx, assignment))
     return _verified(ctx, u, v, cert)
 

@@ -19,10 +19,6 @@ class OracleTooLargeError(PolyconjError):
     """A brute-force enumeration would exceed its configured size cap."""
 
 
-class TableTooLargeError(PolyconjError):
-    """The dynamic-programming table would exceed the cell limit."""
-
-
 class StateLimitError(PolyconjError):
     """A reachability sweep touched more states than allowed."""
 

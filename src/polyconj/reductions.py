@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import _search
+from . import _search, _sweep
 from .errors import (
     InvalidParameterError,
     InvalidPromiseError,
@@ -26,48 +26,22 @@ from .errors import (
     SoundnessError,
 )
 from .group import GroupContext, GroupElement, make_context
-from .tssp import Assignment, TsspInstance
+from .tssp import Assignment, TsspInstance, _CoefficientInstance
 
 SspSubset = tuple[int, ...]
 SspPrimeSolution = tuple[int, ...]
 
+# Sweep branches (sign, weight) over partial sums: each adds weight * k_i.
+_SUBSET_BRANCHES = ((1, 0), (1, 1))
+_SIGNED_BRANCHES = ((1, 0), (1, -1), (1, 1))
 
-@dataclass(frozen=True)
-class SspInstance:
+
+class SspInstance(_CoefficientInstance):
     """Subset sum: find bits x with sum(k_i * x_i) == target."""
 
-    coefficients: tuple[int, ...]
-    target: int
 
-    def __post_init__(self):
-        coeffs = tuple(int(k) for k in self.coefficients)
-        if len(coeffs) < 1:
-            raise InvalidParameterError("instance needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "target", int(self.target))
-
-    @property
-    def n(self) -> int:
-        return len(self.coefficients)
-
-
-@dataclass(frozen=True)
-class SspPrimeInstance:
+class SspPrimeInstance(_CoefficientInstance):
     """Signed subset sum: find values in {-1,0,1} with sum(k_i * x_i) == target."""
-
-    coefficients: tuple[int, ...]
-    target: int
-
-    def __post_init__(self):
-        coeffs = tuple(int(k) for k in self.coefficients)
-        if len(coeffs) < 1:
-            raise InvalidParameterError("instance needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "target", int(self.target))
-
-    @property
-    def n(self) -> int:
-        return len(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -127,6 +101,32 @@ def solve_sspprime_brute(inst: SspPrimeInstance, max_n: int = 16) -> SspPrimeSol
     return _search.first_ternary_match(
         inst.coefficients, inst.target, lambda vals: signed_sum(inst.coefficients, vals)
     )
+
+
+def solve_ssp_dp(inst: SspInstance, max_states: int = 10**7) -> SspSubset | None:
+    """A solving subset from the partial-sum sweep, preferring to skip the
+    later coefficients."""
+    found = _sweep.trace(_sweep.sweep(0, inst.coefficients, _SUBSET_BRANCHES, max_states),
+                         inst.target)
+    if found is not None and subset_sum(inst.coefficients, found) != inst.target:
+        raise SoundnessError("sweep back-trace produced a non-solving subset")
+    return found
+
+
+def solve_sspprime_dp(
+    inst: SspPrimeInstance, max_states: int = 10**7
+) -> SspPrimeSolution | None:
+    """A solving value vector from the signed partial-sum sweep, preferring
+    0, then -1, at the later coefficients."""
+    choices = _sweep.trace(
+        _sweep.sweep(0, inst.coefficients, _SIGNED_BRANCHES, max_states), inst.target
+    )
+    if choices is None:
+        return None
+    found = tuple(_SIGNED_BRANCHES[c][1] for c in choices)
+    if signed_sum(inst.coefficients, found) != inst.target:
+        raise SoundnessError("sweep back-trace produced a non-solving value vector")
+    return found
 
 
 def ssp_to_sspprime(inst: SspInstance) -> SspPrimeInstance:

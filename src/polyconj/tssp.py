@@ -5,9 +5,13 @@ An instance asks for bits x_1..x_n with
     sum_i  k_i * x_i * (-1)^(x_1 + ... + x_{i-1})  ==  M,
 
 i.e. each selected coefficient is negated when an odd number of earlier
-bits are set.  ``solve_tssp_brute`` enumerates all 2^n assignments;
-``solve_tssp_dp`` fills a sparse table over (partial sum, selection parity)
-states, which is polynomial in n * sum|k_i| but exponential in coefficient
+bits are set.  ``solve_tssp_brute`` enumerates all 2^n assignments.
+``solve_tssp_dp`` sweeps residual targets with the shared kernel of
+:mod:`polyconj._sweep`: the bits after x_i must reach some residual t, and
+setting x_i turns t into k_i - t (the later bits now enter negated) while
+clearing it keeps t.  Starting from M, the instance is solvable exactly when
+residual 0 is reachable after the last coefficient.  The sweep is
+polynomial in n * (|M| + sum|k_i|) but exponential in coefficient
 bit-length.
 """
 
@@ -16,23 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import _search
-from .errors import (
-    InvalidParameterError,
-    OracleTooLargeError,
-    SoundnessError,
-    TableTooLargeError,
-)
+from . import _search, _sweep
+from .errors import InvalidParameterError, OracleTooLargeError, SoundnessError
 
 Assignment = tuple[int, ...]
 
-# (bit chosen at this row, predecessor sum, predecessor parity); the
-# predecessor fields are None in row 1.
-BackPointer = tuple[int, "int | None", "int | None"]
+# Sweep branches (sign, weight): bit 0 keeps the residual t, bit 1 maps it
+# to k - t.
+_RESIDUAL_BRANCHES = ((1, 0), (-1, 1))
 
 
 @dataclass(frozen=True)
-class TsspInstance:
+class _CoefficientInstance:
+    """Coefficients k_1..k_n (n >= 1) and a target M, shared by the three
+    subset-sum variants."""
+
     coefficients: tuple[int, ...]
     target: int
 
@@ -47,40 +49,14 @@ class TsspInstance:
     def n(self) -> int:
         return len(self.coefficients)
 
+
+class TsspInstance(_CoefficientInstance):
+    """Twisted subset sum: find bits x whose twisted sum equals target."""
+
     @property
     def abs_sum(self) -> int:
         """S = sum(|k_i|); every partial twisted sum lies in [-S, S]."""
         return sum(abs(k) for k in self.coefficients)
-
-
-@dataclass(frozen=True)
-class DpTable:
-    """Sparse table: ``rows[i-1]`` maps sum -> {parity: back-pointer}.
-
-    A parity mark p is present at sum s in row i exactly when some bits
-    x_1..x_i have partial twisted sum s and x_1+...+x_i == p (mod 2).
-    Back-pointers prefer the bit-0 derivation when both exist.
-    """
-
-    coefficients: tuple[int, ...]
-    rows: tuple[dict[int, dict[int, BackPointer]], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.coefficients)
-
-    @property
-    def abs_sum(self) -> int:
-        return sum(abs(k) for k in self.coefficients)
-
-    @property
-    def total_marks(self) -> int:
-        """Number of (sum, parity) states touched while filling the table."""
-        return sum(len(pmap) for row in self.rows for pmap in row.values())
-
-    def marks_at(self, row: int, value: int) -> frozenset[int]:
-        """Parity marks stored at ``value`` in 1-based ``row``."""
-        return frozenset(self.rows[row - 1].get(value, ()))
 
 
 def _check_bits(bits: Sequence[int], n: int) -> None:
@@ -119,64 +95,16 @@ def solve_tssp_brute(inst: TsspInstance, max_n: int = 25) -> Assignment | None:
     return found
 
 
-def build_dp(inst: TsspInstance, max_cells: int = 10**8) -> DpTable:
-    """Fill the (partial sum, parity) table row by row.
-
-    Row 1 holds parity 0 at sum 0 (bit 0) and parity 1 at sum k_1 (bit 1).
-    Row i extends row i-1 by carrying every mark forward (bit 0) and by the
-    two twisted transitions: parity 0 at s adds parity 1 at s + k_i, and
-    parity 1 at s adds parity 0 at s - k_i.  Rows contain nothing else.
-    """
-    n = inst.n
-    s = inst.abs_sum
-    cells = (n + 1) * (2 * s + 1)
-    if cells > max_cells:
-        raise TableTooLargeError(
-            f"table of {(n + 1)} x {2 * s + 1} = {cells} cells exceeds the "
-            f"cap of {max_cells}; raise the cap or use the brute solver"
-        )
-
-    coeffs = inst.coefficients
-    first: dict[int, dict[int, BackPointer]] = {0: {0: (0, None, None)}}
-    first.setdefault(coeffs[0], {})[1] = (1, None, None)
-    rows = [first]
-    for i in range(1, n):
-        k = coeffs[i]
-        prev = rows[-1]
-        cur: dict[int, dict[int, BackPointer]] = {}
-        for value, pmap in prev.items():  # carry-forward first: bit 0 wins ties
-            slot = cur.setdefault(value, {})
-            for parity in pmap:
-                slot.setdefault(parity, (0, value, parity))
-        for value, pmap in prev.items():
-            if 0 in pmap:
-                cur.setdefault(value + k, {}).setdefault(1, (1, value, 0))
-            if 1 in pmap:
-                cur.setdefault(value - k, {}).setdefault(0, (1, value, 1))
-        rows.append(cur)
-    return DpTable(coefficients=coeffs, rows=tuple(rows))
+def residual_sweep(inst: TsspInstance, max_states: int = 10**7) -> list[_sweep.Stage]:
+    """Residual targets reachable after each coefficient, with back-pointers
+    whose choice is the bit set at that coefficient."""
+    return _sweep.sweep(inst.target, inst.coefficients, _RESIDUAL_BRANCHES, max_states)
 
 
-def extract_assignment(table: DpTable, target: int) -> Assignment | None:
-    """Walk back-pointers from the target cell; None when it holds no mark."""
-    pmap = table.rows[-1].get(target)
-    if not pmap:
-        return None
-    # Prefer the mark whose final step chose bit 0; break remaining ties by parity.
-    parity = min(pmap, key=lambda p: (pmap[p][0], p))
-    n = table.n
-    bits = [0] * n
-    value: int | None = target
-    par: int | None = parity
-    for i in range(n - 1, -1, -1):
-        bit, value, par = table.rows[i][value][par]
-        bits[i] = bit
-    assignment = tuple(bits)
-    if twisted_sum(table.coefficients, assignment) != target:
-        raise SoundnessError("table reconstruction produced a non-solving assignment")
-    return assignment
-
-
-def solve_tssp_dp(inst: TsspInstance, max_cells: int = 10**8) -> Assignment | None:
-    """Solve by table fill plus back-pointer reconstruction."""
-    return extract_assignment(build_dp(inst, max_cells=max_cells), inst.target)
+def solve_tssp_dp(inst: TsspInstance, max_states: int = 10**7) -> Assignment | None:
+    """Solve by the residual sweep plus back-trace from residual 0; where
+    both bits reach a residual, its back-pointer keeps bit 0."""
+    found = _sweep.trace(residual_sweep(inst, max_states), 0)
+    if found is not None and twisted_sum(inst.coefficients, found) != inst.target:
+        raise SoundnessError("sweep back-trace produced a non-solving assignment")
+    return found

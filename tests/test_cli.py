@@ -79,14 +79,20 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "ssp", path)
         assert code == 2 and "expected" in err
 
-    def test_max_cells_flag(self, write, capsys):
+    def test_max_states_flag(self, write, capsys):
+        # two huge coefficients touch four states: the cap counts work, not S
         path = write("i.tssp", TsspInstance((10**9, 10**9), 0))
-        code, _, err = run_cli(capsys, "solve", "tssp", path, "--max-cells", "100")
-        assert code == 2 and "cap" in err
-        code, out, _ = run_cli(
-            capsys, "solve", "tssp", path, "--max-cells", str(10**11)
-        )
+        code, _, err = run_cli(capsys, "solve", "tssp", path, "--max-states", "3")
+        assert code == 2 and "states" in err
+        code, out, _ = run_cli(capsys, "solve", "tssp", path, "--max-states", "4")
         assert code == 0 and parse_instance(out).values == (0, 0)
+
+    @pytest.mark.parametrize("command", [("solve", "tssp"), ("conj", "decide")])
+    @pytest.mark.parametrize("value", ["0", "-5", "many"])
+    def test_max_states_rejects_bad_values(self, write, capsys, command, value):
+        path = write("i.txt", "")
+        code, _, err = run_cli(capsys, *command, path, "--max-states", value)
+        assert code == 2 and "--max-states" in err
 
 
 class TestReduceAndPullback:
@@ -246,6 +252,12 @@ class TestErrorsAndUsage:
         bad.write_text("ssp\n2\n3 5\n")
         code, _, err = run_cli(capsys, "solve", "ssp", str(bad))
         assert code == 2 and "line" in err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tssp"
+        bad.write_bytes(b"tssp\n1\n\xff\xfe\n0\n")
+        code, _, err = run_cli(capsys, "solve", "tssp", str(bad))
+        assert code == 2 and err.startswith("error:") and "UTF-8" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "ssp", "/nonexistent/i.ssp")

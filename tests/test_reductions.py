@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyconj import (
+    InvalidParameterError,
     InvalidPromiseError,
     OracleTooLargeError,
     SoundnessError,
@@ -21,7 +24,9 @@ from polyconj import (
     push_sspprime_solution_to_tssp,
     signed_sum,
     solve_ssp_brute,
+    solve_ssp_dp,
     solve_sspprime_brute,
+    solve_sspprime_dp,
     solve_tssp_brute,
     ssp_search_via_decision,
     ssp_to_sspprime,
@@ -60,6 +65,38 @@ class TestBruteSolvers:
         big = 10**25
         assert solve_ssp_brute(SspInstance((big, 2 * big), 3 * big)) == (1, 1)
         assert solve_sspprime_brute(SspPrimeInstance((big, 3 * big), 2 * big)) == (-1, 1)
+
+
+class TestSweepSolvers:
+    def test_known_instances(self):
+        assert solve_ssp_dp(SspInstance((3, 5, 7), 8)) == (1, 1, 0)
+        assert solve_ssp_dp(SspInstance((3, 5, 7), 6)) is None
+        assert solve_sspprime_dp(SspPrimeInstance((3, 5), 2)) == (-1, 1)
+        assert solve_sspprime_dp(SspPrimeInstance((3, 5), 1)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=10), st.integers(-80, 80))
+    def test_ssp_agrees_with_brute_force(self, coeffs, target):
+        inst = SspInstance(tuple(coeffs), target)
+        dp = solve_ssp_dp(inst)
+        assert (dp is None) == (solve_ssp_brute(inst) is None)
+        if dp is not None:
+            assert subset_sum(inst.coefficients, dp) == target
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=7), st.integers(-80, 80))
+    def test_sspprime_agrees_with_brute_force(self, coeffs, target):
+        inst = SspPrimeInstance(tuple(coeffs), target)
+        dp = solve_sspprime_dp(inst)
+        assert (dp is None) == (solve_sspprime_brute(inst) is None)
+        if dp is not None:
+            assert signed_sum(inst.coefficients, dp) == target
+
+
+@pytest.mark.parametrize("cls", [SspInstance, SspPrimeInstance, TsspInstance])
+def test_empty_coefficient_list_rejected(cls):
+    with pytest.raises(InvalidParameterError):
+        cls((), 0)
 
 
 class TestSspToSspPrime:

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from polyconj import (
     InvalidParameterError,
     OracleTooLargeError,
-    TableTooLargeError,
+    SoundnessError,
+    StateLimitError,
     TsspInstance,
-    build_dp,
-    extract_assignment,
     solve_tssp_brute,
     solve_tssp_dp,
     twisted_sum,
 )
+from polyconj import _search
+from polyconj._sweep import trace
+from polyconj.tssp import residual_sweep
 
 
 class TestTwistedSum:
@@ -56,54 +58,57 @@ class TestBruteForce:
         assert solve_tssp_brute(inst) == (1, 1)
 
 
-class TestBuildDp:
-    def test_rows_for_3_5(self):
-        table = build_dp(TsspInstance((3, 5), 0))
-        assert table.marks_at(1, 0) == frozenset({0})
-        assert table.marks_at(1, 3) == frozenset({1})
-        assert table.marks_at(1, 7) == frozenset()
-        row2 = {s: table.marks_at(2, s) for s in (0, 3, 5, -2)}
-        assert row2 == {
-            0: frozenset({0}),
-            3: frozenset({1}),
-            5: frozenset({1}),
-            -2: frozenset({0}),
-        }
-        assert sum(len(pmap) for pmap in table.rows[1].values()) == 4
+    @pytest.mark.parametrize(
+        "scan",
+        [_search.first_subset_match, _search.first_ternary_match, _search.first_twisted_match],
+    )
+    def test_vectorized_hit_is_rechecked(self, scan):
+        # an exact evaluator that disagrees with the vectorized sum is a bug
+        with pytest.raises(SoundnessError):
+            scan((1, 2), 2, lambda candidate: 0)
 
-    def test_zero_coefficient_merges_parities(self):
-        table = build_dp(TsspInstance((0,), 0))
-        assert table.marks_at(1, 0) == frozenset({0, 1})
+
+class TestResidualSweep:
+    def test_rows_for_3_5(self):
+        stages = residual_sweep(TsspInstance((3, 5), 0))
+        assert stages[0] == {0: (0, 0), 3: (0, 1)}
+        assert stages[1] == {0: (0, 0), 3: (3, 0), 5: (0, 1), 2: (3, 1)}
+
+    def test_zero_coefficient_merges_branches(self):
+        # both bits leave residual 0 in place; the bit-0 pointer wins
+        assert residual_sweep(TsspInstance((0,), 0)) == [{0: (0, 0)}]
+        assert residual_sweep(TsspInstance((0,), 4)) == [{4: (4, 0), -4: (4, 1)}]
 
     def test_base_row(self):
-        table = build_dp(TsspInstance((7,), 0))
-        assert table.marks_at(1, 0) == frozenset({0})
-        assert table.marks_at(1, 7) == frozenset({1})
+        assert residual_sweep(TsspInstance((7,), 0)) == [{0: (0, 0), 7: (0, 1)}]
 
-    def test_cell_limit(self):
-        with pytest.raises(TableTooLargeError):
-            build_dp(TsspInstance((10**9, 10**9), 0))
-        build_dp(TsspInstance((10**9, 10**9), 0), max_cells=10**11)
+    def test_state_cap(self):
+        # two huge coefficients touch four states, however large S is
+        inst = TsspInstance((10**9, 10**9), 0)
+        with pytest.raises(StateLimitError):
+            residual_sweep(inst, max_states=3)
+        assert sum(len(stage) for stage in residual_sweep(inst, max_states=4)) == 4
+        assert solve_tssp_dp(inst, max_states=4) == (0, 0)
+        with pytest.raises(InvalidParameterError):
+            solve_tssp_dp(inst, max_states=0)
 
     def test_mark_semantics_exhaustive(self):
-        # a parity mark exists exactly when some prefix assignment realizes
-        # it, and every stored sum stays within the weight bound
+        # after i coefficients the residuals are exactly the values
+        # (-1)^(parity) * (M - prefix twisted sum) over all prefix bits
         rng = random.Random(21)
         for _ in range(120):
             n = rng.randint(1, 3)
             coeffs = tuple(rng.randint(-4, 4) for _ in range(n))
-            inst = TsspInstance(coeffs, 0)
-            table = build_dp(inst)
+            target = rng.randint(-6, 6)
+            inst = TsspInstance(coeffs, target)
+            stages = residual_sweep(inst)
             for i in range(1, n + 1):
-                seen = {}
-                for bits in itertools.product((0, 1), repeat=i):
-                    s = twisted_sum(coeffs[:i], bits)
-                    seen.setdefault(s, set()).add(sum(bits) % 2)
-                stored = {
-                    s: set(pmap) for s, pmap in table.rows[i - 1].items()
+                seen = {
+                    (-1) ** sum(bits) * (target - twisted_sum(coeffs[:i], bits))
+                    for bits in itertools.product((0, 1), repeat=i)
                 }
-                assert stored == seen
-                assert all(abs(s) <= inst.abs_sum for s in stored)
+                assert set(stages[i - 1]) == seen
+                assert all(abs(r) <= abs(target) + inst.abs_sum for r in stages[i - 1])
 
 
 class TestSolveDp:
@@ -120,10 +125,10 @@ class TestSolveDp:
 
     def test_extract_from_prebuilt_table(self):
         inst = TsspInstance((3, 5), -2)
-        table = build_dp(inst)
-        assert extract_assignment(table, -2) == solve_tssp_dp(inst)
-        assert extract_assignment(table, 4) is None
-        assert extract_assignment(table, 10**9) is None
+        stages = residual_sweep(inst)
+        assert trace(stages, 0) == solve_tssp_dp(inst)
+        assert trace(residual_sweep(TsspInstance((3, 5), 4)), 0) is None
+        assert trace(stages, 10**9) is None
 
     @settings(max_examples=300, deadline=None)
     @given(
