@@ -10,6 +10,9 @@ touches:
 * ``adversarial``: fixed n, random coefficients of a given bit-length.
   Touched-state counts at least double when the bit-length doubles, which
   is the exponential regime that keeps the problem NP-complete in binary.
+  Its ``meet_seconds`` column times ``_sweep.meet`` from the target to
+  residual 0 on the same instances, the meet-in-the-middle path that
+  conjugacy decide and search take; ``states`` stays the full sweep's.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import random
 import time
 from typing import Sequence
 
-from .tssp import TsspInstance, residual_sweep, twisted_sum
+from . import _sweep
+from .tssp import _RESIDUAL_BRANCHES, TsspInstance, residual_sweep, twisted_sum
 
 SCALING_N = 10
 SCALING_SUMS = (10**3, 10**4, 10**5, 10**6)
@@ -85,6 +89,9 @@ def adversarial_rows(
     for bits in bit_lengths:
         inst = _adversarial_instance(rng, n, bits)
         seconds, states = _timed_sweep(inst, repeats=1)
+        start = time.perf_counter()
+        _sweep.meet(inst.target, 0, inst.coefficients, _RESIDUAL_BRANCHES)
+        meet_seconds = time.perf_counter() - start
         rows.append(
             {
                 "n": n,
@@ -92,6 +99,7 @@ def adversarial_rows(
                 "S": inst.abs_sum,
                 "seconds": seconds,
                 "states": states,
+                "meet_seconds": meet_seconds,
             }
         )
     return rows

@@ -186,7 +186,8 @@ def _cmd_bench(args) -> int:
     if args.suite in ("adversarial", "all"):
         rows = bench_mod.adversarial_rows(seed=args.seed)
         print("tssp sweep on random coefficients of growing bit-length")
-        print(bench_mod.format_table(rows, ("n", "coefficient_bits", "S", "seconds", "states")))
+        columns = ("n", "coefficient_bits", "S", "seconds", "states", "meet_seconds")
+        print(bench_mod.format_table(rows, columns))
     return 0
 
 

@@ -8,15 +8,25 @@ remain:
   single syllable of the odd generator just above that coordinate is an
   explicit conjugator (the fast path);
 * every even coordinate is even: only products of even-indexed generators
-  matter, each used with exponent 0 or 1, and the set of reachable g_1
-  exponents is computed by the shared kernel of :mod:`polyconj._sweep`,
-  run from e_1 over g_{2n} down to g_2, with two branches that map a value
-  s to s (generator skipped) or to -(s + e_{j+1}) (generator used).
+  matter, each used with exponent 0 or 1.  Stage by stage from g_{2n} down
+  to g_2, generator g_j maps a g_1 exponent s to s (skipped) or to
+  -(s + e_{j+1}) (used), starting from e_1.
+
+``reachable_g1_values`` runs that sweep in full with the shared kernel of
+:mod:`polyconj._sweep` and keeps every stage; it is the exhaustive
+reference.  ``decide_conjugate`` and ``search_conjugator`` only ask whether
+one value, v's g_1 exponent f_1, is reached, so they meet in the middle
+with ``_sweep.meet``: forward from e_1 over the first half of the stages,
+backward from f_1 over the rest.  Both branches are their own inverses, so
+the backward half uses the same table; it visits values before branches,
+which makes the value it joins on the one whose choices are smallest in
+the order a full sweep's back-trace prefers.  The certificate is therefore
+the very one the full sweep would trace, at about the square root of its
+states.
 
 The same sweep solves TSSP, since ``tssp_to_conjugacy`` makes these g_1
-exponents the negated twisted sums.  Its back-pointers turn a deciding
-"yes" into an explicit certificate, which is always re-verified before
-being returned.
+exponents the negated twisted sums.  Every certificate is re-verified
+before being returned.
 """
 
 from __future__ import annotations
@@ -64,6 +74,17 @@ def _all_evens_even(ctx: GroupContext, u: GroupElement) -> bool:
     return not any(u[t] & 1 for t in range(1, ctx.hirsch, 2))
 
 
+def _stage_indices(ctx: GroupContext) -> range:
+    """The sweep's generators g_j, j = 2n down to 2; g_j drags in e_{j+1} = u[j]."""
+    return range(2 * ctx.n, 0, -2)
+
+
+def _meet(ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int):
+    """Bits on g_{2n} .. g_2 (stage order) that take e_1 to f_1, or None."""
+    addends = [u[j] for j in _stage_indices(ctx)]
+    return _sweep.meet(u[0], v[0], addends, _BRANCHES, max_states)
+
+
 def reachable_g1_values(
     ctx: GroupContext, u: GroupElement, max_states: int = 10**7
 ) -> ReachableSet:
@@ -78,7 +99,7 @@ def reachable_g1_values(
         raise NotAllEvenError(
             "reachability sweep needs all even coordinates of u to be even"
         )
-    indices = range(2 * ctx.n, 0, -2)  # g_j drags in e_{j+1} = u[j]
+    indices = _stage_indices(ctx)
     tables = _sweep.sweep(u[0], [u[j] for j in indices], _BRANCHES, max_states)
     stages = [
         ReachableStage(generator_index=j, addend=u[j], table=table)
@@ -97,7 +118,7 @@ def decide_conjugate(
         return False
     if not _all_evens_even(ctx, u):
         return True
-    return v[0] in reachable_g1_values(ctx, u, max_states=max_states).final_values()
+    return _meet(ctx, u, v, max_states) is not None
 
 
 def _fast_path_certificate(ctx: GroupContext, u: GroupElement, v: GroupElement) -> Certificate:
@@ -130,8 +151,7 @@ def search_conjugator(
         cert = _fast_path_certificate(ctx, u, v)
         return _verified(ctx, u, v, cert)
 
-    reach = reachable_g1_values(ctx, u, max_states=max_states)
-    choices = _sweep.trace([stage.table for stage in reach.stages], v[0])
+    choices = _meet(ctx, u, v, max_states)
     if choices is None:
         return None
     assignment = choices[::-1]  # the stages run from g_{2n} down to g_2

@@ -217,6 +217,21 @@ class TestConjCommands:
         code, out, _ = run_cli(capsys, "conj", "search", path)
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("action", ["decide", "search"])
+    def test_max_states_flag(self, write, capsys, action):
+        # three huge addends meet in the middle: one forward stage of 2
+        # values, then backward layers of 2 and 4, so 8 states in all
+        ctx = make_context(3)
+        u = (0, 0, 10**9, 0, 10**12, 0, 10**15)
+        v = conjugate(ctx, (0, 1, 0, 0, 0, 1, 0), u)
+        path = write("i.conj", ConjugacyInstance(ctx, u, v))
+        code, _, err = run_cli(capsys, "conj", action, path, "--max-states", "7")
+        assert code == 2 and "states" in err
+        code, out, _ = run_cli(capsys, "conj", action, path, "--max-states", "8")
+        assert code == 0
+        if action == "search":
+            assert parse_instance(out).certificate.w == (0, 1, 0, 0, 0, 1, 0)
+
     def test_verify_needs_certificate_argument(self, write, capsys):
         ctx = make_context(1)
         path = write("i.conj", ConjugacyInstance(ctx, (0, 0, 5), (-5, 0, 5)))
@@ -277,6 +292,12 @@ class TestBenchCommand:
         assert code == 0
         assert "S" in out and "states" in out and "seconds" in out
         assert "unary-scaled" in out
+
+    def test_adversarial_suite_times_meet(self, capsys):
+        code = run(["bench", "--suite", "adversarial", "--seed", "5"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "bit-length" in out and "states" in out and "meet_seconds" in out
 
 
 def test_module_entry_point():

@@ -9,6 +9,7 @@ from polyconj import (
     NotAllEvenError,
     StateLimitError,
     TsspInstance,
+    assignment_to_conjugator,
     bit_length,
     conjugate,
     conjugator_to_assignment,
@@ -22,7 +23,17 @@ from polyconj import (
     twisted_sum,
     verify_certificate,
 )
+from polyconj._sweep import trace
 from support import brute_conjugacy_map, conjugator_bound, random_element
+
+
+def random_all_even(rng, n, bound):
+    """A G(n) element whose even coordinates are all even."""
+    ctx = make_context(n)
+    u = list(random_element(rng, ctx, bound))
+    for t in range(1, ctx.hirsch, 2):
+        u[t] *= 2
+    return ctx, tuple(u)
 
 
 class TestDecide:
@@ -220,3 +231,29 @@ class TestTsspCompleteness:
             if cert is not None:
                 assignment = conjugator_to_assignment(conj.ctx, cert.w)
                 assert twisted_sum(coeffs, assignment) == target
+
+
+class TestMeetAgainstFullSweep:
+    """decide/search meet in the middle; the full sweep of
+    reachable_g1_values is the reference they must reproduce exactly."""
+
+    def test_decide_and_search_match_the_full_sweep(self):
+        rng = random.Random(47)
+        for _ in range(400):
+            ctx, u = random_all_even(rng, rng.randint(1, 6), 9)
+            reach = reachable_g1_values(ctx, u)
+            finals = reach.final_values()
+            for f1 in (rng.choice(sorted(finals)), rng.randint(-60, 60)):
+                v = (f1,) + u[1:]
+                assert decide_conjugate(ctx, u, v) == (f1 in finals)
+                choices = trace([stage.table for stage in reach.stages], f1)
+                expected = None
+                if choices is not None:
+                    expected = Certificate(w=assignment_to_conjugator(ctx, choices[::-1]))
+                assert search_conjugator(ctx, u, v) == expected
+
+    def test_identity_for_equal_all_even_pairs(self):
+        rng = random.Random(49)
+        for _ in range(300):
+            ctx, u = random_all_even(rng, rng.randint(1, 6), 20)
+            assert search_conjugator(ctx, u, u) == Certificate(identity(ctx))

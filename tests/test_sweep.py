@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyconj import InvalidParameterError, StateLimitError
-from polyconj._sweep import sweep, trace
+from polyconj._sweep import meet, sweep, trace
 
 # The branch tables of the four solvers: conjugacy, TSSP residuals, signed
 # and plain subset sum.
@@ -85,3 +87,39 @@ def test_state_cap_counts_every_stage():
     for bad in (0, -5):
         with pytest.raises(InvalidParameterError):
             sweep(0, addends, BRANCH_TABLES["ssp"], max_states=bad)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(BRANCH_TABLES)),
+    addends=st.lists(
+        st.one_of(st.sampled_from((0, 1, -1, 3)), st.integers(-40, 40)), min_size=1, max_size=10
+    ),
+    start=st.integers(-20, 20),
+    data=st.data(),
+)
+def test_meet_is_the_full_sweeps_trace(kind, addends, start, data):
+    # zero and repeated addends make branches collide; a free final is
+    # usually unreachable, a replayed one always reachable
+    branches = BRANCH_TABLES[kind]
+    if data.draw(st.booleans()):
+        final = data.draw(st.integers(-100, 100))
+    else:
+        final = start
+        for e in addends:
+            final = apply(branches[data.draw(st.integers(0, len(branches) - 1))], final, e)
+    expected = trace(sweep(start, addends, branches), final)
+    assert meet(start, final, addends, branches) == expected
+
+
+def test_meet_state_cap_counts_both_halves():
+    # one forward stage (2 values) and two backward layers (2 and 4 values)
+    addends = [1, 10, 100]
+    assert meet(0, 110, addends, BRANCH_TABLES["ssp"], max_states=8) == (0, 1, 1)
+    with pytest.raises(StateLimitError):
+        meet(0, 110, addends, BRANCH_TABLES["ssp"], max_states=7)
+    for bad in (0, -5):
+        with pytest.raises(InvalidParameterError):
+            meet(0, 110, addends, BRANCH_TABLES["ssp"], max_states=bad)
+        with pytest.raises(InvalidParameterError):  # empty forward half
+            meet(0, 1, [1], BRANCH_TABLES["ssp"], max_states=bad)
