@@ -73,7 +73,6 @@ def scaling_rows(
                 "S": total,
                 "seconds": seconds,
                 "states": states,
-                "dense_cells": (n + 1) * (2 * total + 1),
             }
         )
     return rows

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = yes / solved / valid, 1 = no / unsolvable / invalid,
-2 = usage, parse, or resource errors.  Witnesses and reduced instances go
-to stdout in the text formats of :mod:`polyconj.formats`; diagnostics go to
-stderr.
+2 = usage, parse, or resource errors (an integer past Python's 4300-digit
+int/str limit among them).  Witnesses and reduced instances go to stdout in
+the text formats of :mod:`polyconj.formats`; diagnostics go to stderr.
+``reduce`` and ``pullback`` compose the hops of ``reductions.HOPS``.
 """
 
 from __future__ import annotations
@@ -15,41 +16,21 @@ from pathlib import Path
 from typing import Sequence
 
 from . import bench as bench_mod
+from . import reductions
 from .conjugacy import decide_conjugate, search_conjugator, verify_certificate
 from .errors import InvalidParameterError, PolyconjError
-from .formats import (
-    CertificateFile,
-    ConjugacyInstance,
-    SolutionFile,
-    parse_instance,
-    serialize_instance,
-)
+from .formats import KINDS, CertificateFile, SolutionFile, parse_instance, serialize_instance
 from .generate import GenSpec, generate
 from .reductions import (
-    SspInstance,
-    SspPrimeInstance,
-    conjugator_to_assignment,
-    pullback_sspprime_to_ssp,
-    pullback_tssp_to_sspprime,
+    CHAIN,
+    HOPS,
     solve_ssp_brute,
     solve_ssp_dp,
     solve_sspprime_brute,
     solve_sspprime_dp,
     ssp_search_via_decision,
-    ssp_to_sspprime,
-    sspprime_to_tssp,
-    tssp_to_conjugacy,
 )
-from .tssp import TsspInstance, solve_tssp_brute, solve_tssp_dp, twisted_sum
-
-_EXPECTED = {
-    "ssp": SspInstance,
-    "sspp": SspPrimeInstance,
-    "tssp": TsspInstance,
-    "conj": ConjugacyInstance,
-    "cert": CertificateFile,
-    "sol": SolutionFile,
-}
+from .tssp import solve_tssp_brute, solve_tssp_dp
 
 
 def _load(path: str, kind: str):
@@ -60,8 +41,7 @@ def _load(path: str, kind: str):
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
     obj = parse_instance(text)
-    expected = _EXPECTED[kind]
-    if not isinstance(obj, expected):
+    if not isinstance(obj, KINDS[kind]):
         raise InvalidParameterError(
             f"{path}: expected a {kind!r} file, found {type(obj).__name__}"
         )
@@ -97,59 +77,27 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    if args.which == "ssp-to-sspp":
-        _emit(ssp_to_sspprime(_load(args.file, "ssp")))
-    elif args.which == "sspp-to-tssp":
-        _emit(sspprime_to_tssp(_load(args.file, "sspp")))
-    elif args.which == "ssp-to-tssp":
-        _emit(sspprime_to_tssp(ssp_to_sspprime(_load(args.file, "ssp"))))
-    elif args.which == "tssp-to-conj":
-        _emit(tssp_to_conjugacy(_load(args.file, "tssp")))
-    else:  # ssp-to-conj
-        _emit(tssp_to_conjugacy(sspprime_to_tssp(ssp_to_sspprime(_load(args.file, "ssp")))))
+    src, dst = args.which.split("-to-")
+    inst = _load(args.file, src)
+    for i in range(CHAIN.index(src), CHAIN.index(dst)):
+        inst = getattr(reductions, HOPS[i][0])(inst)
+    _emit(inst)
     return 0
 
 
-def _assignment_from_certificate(tssp_inst: TsspInstance, cert_file: CertificateFile):
-    derived = tssp_to_conjugacy(tssp_inst)
-    if cert_file.ctx != derived.ctx:
-        raise InvalidParameterError(
-            f"certificate lives in G({cert_file.ctx.n}) but the reduced instance "
-            f"needs G({derived.ctx.n})"
-        )
-    assign = conjugator_to_assignment(derived.ctx, cert_file.certificate.w)
-    if twisted_sum(tssp_inst.coefficients, assign) != tssp_inst.target:
-        raise InvalidParameterError(
-            "certificate does not solve the reduced twisted-subset-sum instance"
-        )
-    return assign
-
-
 def _cmd_pullback(args) -> int:
-    if args.which == "sspp-to-ssp":
-        orig = _load(args.original, "ssp")
-        sol = _load(args.witness, "sol")
-        _emit(SolutionFile(values=pullback_sspprime_to_ssp(orig, sol.values)))
-    elif args.which == "tssp-to-sspp":
-        orig = _load(args.original, "sspp")
-        sol = _load(args.witness, "sol")
-        _emit(SolutionFile(values=pullback_tssp_to_sspprime(orig, sol.values)))
-    elif args.which == "tssp-to-ssp":
-        orig = _load(args.original, "ssp")
-        sol = _load(args.witness, "sol")
-        values = pullback_tssp_to_sspprime(ssp_to_sspprime(orig), sol.values)
-        _emit(SolutionFile(values=pullback_sspprime_to_ssp(orig, values)))
-    elif args.which == "conj-to-tssp":
-        orig = _load(args.original, "tssp")
-        cert = _load(args.witness, "cert")
-        _emit(SolutionFile(values=_assignment_from_certificate(orig, cert)))
-    else:  # conj-to-ssp
-        orig = _load(args.original, "ssp")
-        cert = _load(args.witness, "cert")
-        prime = ssp_to_sspprime(orig)
-        assign = _assignment_from_certificate(sspprime_to_tssp(prime), cert)
-        values = pullback_tssp_to_sspprime(prime, assign)
-        _emit(SolutionFile(values=pullback_sspprime_to_ssp(orig, values)))
+    reduced, src = args.which.split("-to-")
+    sources = [_load(args.original, src)]
+    if reduced == "conj":
+        witness = _load(args.witness, "cert").certificate.w
+    else:
+        witness = _load(args.witness, "sol").values
+    hops = range(CHAIN.index(src), CHAIN.index(reduced))
+    for i in hops[:-1]:
+        sources.append(getattr(reductions, HOPS[i][0])(sources[-1]))
+    for i, source in zip(reversed(hops), reversed(sources)):
+        witness = getattr(reductions, HOPS[i][1])(source, witness)
+    _emit(SolutionFile(values=witness))
     return 0
 
 
@@ -181,7 +129,7 @@ def _cmd_bench(args) -> int:
     if args.suite in ("scaling", "all"):
         rows = bench_mod.scaling_rows(seed=args.seed)
         print("tssp sweep on unary-scaled instances (fixed n, growing S)")
-        print(bench_mod.format_table(rows, ("n", "S", "seconds", "states", "dense_cells")))
+        print(bench_mod.format_table(rows, ("n", "S", "seconds", "states")))
         print()
     if args.suite in ("adversarial", "all"):
         rows = bench_mod.adversarial_rows(seed=args.seed)

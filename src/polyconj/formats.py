@@ -1,9 +1,12 @@
 """Line-oriented text format for instances, certificates, and solutions.
 
-Layout: whitespace-separated decimal integers (arbitrary precision), one
-logical row per line, the kind tag on line 1 and the size n on line 2.
-Full-line '#' comments and blank lines are ignored; serialization is
-canonical so parse(serialize(x)) == x.
+Layout: whitespace-separated decimal integers, one logical row per line,
+the kind tag on line 1 and the size n on line 2.  Full-line '#' comments
+and blank lines are ignored; serialization is canonical so
+parse(serialize(x)) == x.  An integer may have at most as many digits as
+Python converts between int and str (``sys.get_int_max_str_digits()``,
+4300 by default); past that, parsing raises ``InstanceParseError`` and
+serializing ``InvalidParameterError``.
 
     ssp / sspp / tssp:   kind, n, n coefficients, target
     conj:                "conj", n, 2n+1 exponents of u, 2n+1 exponents of v
@@ -14,15 +17,14 @@ canonical so parse(serialize(x)) == x.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .conjugacy import Certificate
-from .errors import InstanceParseError
+from .errors import InstanceParseError, InvalidParameterError
 from .group import GroupContext, make_context
 from .reductions import ConjugacyInstance, SspInstance, SspPrimeInstance
 from .tssp import TsspInstance
-
-KINDS = ("ssp", "sspp", "tssp", "conj", "cert", "sol")
 
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+\Z")
@@ -51,6 +53,17 @@ ParsedFile = (
     | CertificateFile
     | SolutionFile
 )
+
+# The kind tag on line 1 of a file -> the class it parses to.
+KINDS = {
+    "ssp": SspInstance,
+    "sspp": SspPrimeInstance,
+    "tssp": TsspInstance,
+    "conj": ConjugacyInstance,
+    "cert": CertificateFile,
+    "sol": SolutionFile,
+}
+_TAGS = {cls: tag for tag, cls in KINDS.items()}
 
 
 class _Cursor:
@@ -94,7 +107,12 @@ def _to_int(token: tuple[int, int, str]) -> int:
     line, col, text = token
     if not _INT.match(text):
         raise InstanceParseError(f"expected an integer, found {text!r}", line, col)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise InstanceParseError(
+            f"integer has more than {sys.get_int_max_str_digits()} digits", line, col
+        ) from None
 
 
 def _int_row(cursor: _Cursor, arity: int, what: str) -> tuple[int, ...]:
@@ -118,8 +136,7 @@ def parse_instance(text: str) -> ParsedFile:
         coeffs = _int_row(cursor, n, "coefficient row")
         target = _int_row(cursor, 1, "target row")[0]
         cursor.finish()
-        cls = {"ssp": SspInstance, "sspp": SspPrimeInstance, "tssp": TsspInstance}[kind]
-        return cls(coefficients=coeffs, target=target)
+        return KINDS[kind](coefficients=coeffs, target=target)
 
     ctx = make_context(n)
     if kind == "conj":
@@ -146,25 +163,25 @@ def parse_instance(text: str) -> ParsedFile:
 
 
 def _ints(values) -> str:
-    return " ".join(str(v) for v in values)
+    try:
+        return " ".join(str(v) for v in values)
+    except ValueError:
+        raise InvalidParameterError(
+            f"cannot write an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def serialize_instance(obj: ParsedFile) -> str:
     """Canonical text for any parsed object; inverse of parse_instance."""
-    if isinstance(obj, SspInstance):
-        kind = "ssp"
-    elif isinstance(obj, SspPrimeInstance):
-        kind = "sspp"
-    elif isinstance(obj, TsspInstance):
-        kind = "tssp"
-    elif isinstance(obj, ConjugacyInstance):
-        return (
-            f"conj\n{obj.ctx.n}\n{_ints(obj.u)}\n{_ints(obj.v)}\n"
-        )
-    elif isinstance(obj, CertificateFile):
-        return f"cert\n{obj.ctx.n}\n{_ints(obj.certificate.w)}\n"
-    elif isinstance(obj, SolutionFile):
-        return f"sol\n{len(obj.values)}\n{_ints(obj.values)}\n"
-    else:
+    kind = _TAGS.get(type(obj))
+    if kind is None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return f"{kind}\n{obj.n}\n{_ints(obj.coefficients)}\n{obj.target}\n"
+    if kind == "conj":
+        n, rows = obj.ctx.n, (obj.u, obj.v)
+    elif kind == "cert":
+        n, rows = obj.ctx.n, (obj.certificate.w,)
+    elif kind == "sol":
+        n, rows = len(obj.values), (obj.values,)
+    else:
+        n, rows = obj.n, (obj.coefficients, (obj.target,))
+    return "\n".join((kind, str(n), *map(_ints, rows))) + "\n"

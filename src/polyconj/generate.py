@@ -16,7 +16,15 @@ from .group import conjugate, make_context
 from .reductions import ConjugacyInstance, SspInstance, SspPrimeInstance, subset_sum, signed_sum
 from .tssp import TsspInstance, twisted_sum
 
-GENERATABLE_KINDS = ("ssp", "sspp", "tssp", "conj")
+# Per subset-sum kind: the instance class, the sum a witness reaches, and
+# the least witness entry (solvable-bias witness entries are drawn from
+# [least, 1]).
+_SUBSET_KINDS = {
+    "ssp": (SspInstance, subset_sum, 0),
+    "sspp": (SspPrimeInstance, signed_sum, -1),
+    "tssp": (TsspInstance, twisted_sum, 0),
+}
+GENERATABLE_KINDS = (*_SUBSET_KINDS, "conj")
 
 
 @dataclass(frozen=True)
@@ -59,24 +67,13 @@ def generate(spec: GenSpec):
         v[0] = rng.randint(-bound * (n + 1), bound * (n + 1))
         return ConjugacyInstance(ctx=ctx, u=u, v=tuple(v))
 
+    cls, value, least = _SUBSET_KINDS[spec.kind]
     coeffs = tuple(rng.randint(-bound, bound) for _ in range(n))
-    if spec.kind == "ssp":
-        if spec.solvable:
-            target = subset_sum(coeffs, tuple(rng.randint(0, 1) for _ in range(n)))
-        else:
-            target = _unbiased_target(rng, coeffs)
-        return SspInstance(coefficients=coeffs, target=target)
-    if spec.kind == "sspp":
-        if spec.solvable:
-            target = signed_sum(coeffs, tuple(rng.randint(-1, 1) for _ in range(n)))
-        else:
-            target = _unbiased_target(rng, coeffs)
-        return SspPrimeInstance(coefficients=coeffs, target=target)
     if spec.solvable:
-        target = twisted_sum(coeffs, tuple(rng.randint(0, 1) for _ in range(n)))
+        target = value(coeffs, tuple(rng.randint(least, 1) for _ in range(n)))
     else:
         target = _unbiased_target(rng, coeffs)
-    return TsspInstance(coefficients=coeffs, target=target)
+    return cls(coefficients=coeffs, target=target)
 
 
 def _unbiased_target(rng: random.Random, coeffs) -> int:

@@ -11,6 +11,8 @@ The chain is
 Every hop preserves solvability both ways, and every hop has a pullback
 that converts a witness of the reduced instance back into a witness of the
 source instance, verifying it against the source equation before returning.
+``CHAIN`` and ``HOPS`` hold the chain as data, which the ``reduce`` and
+``pullback`` commands compose.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     SoundnessError,
 )
 from .group import GroupContext, GroupElement, make_context
-from .tssp import Assignment, TsspInstance, _CoefficientInstance
+from .tssp import Assignment, TsspInstance, _CoefficientInstance, twisted_sum
 
 SspSubset = tuple[int, ...]
 SspPrimeSolution = tuple[int, ...]
@@ -268,6 +270,30 @@ def conjugator_to_assignment(ctx: GroupContext, w: GroupElement) -> Assignment:
             f"element of length {len(w)} does not belong to G({ctx.n})"
         )
     return tuple(w[2 * i - 1] & 1 for i in range(1, ctx.n + 1))
+
+
+def pullback_conjugacy_to_tssp(inst: TsspInstance, w: GroupElement) -> Assignment:
+    """Recover an assignment from a conjugator of tssp_to_conjugacy(inst)."""
+    ctx = make_context(inst.n)
+    if len(w) != ctx.hirsch:
+        raise SoundnessError(
+            f"conjugator has {len(w)} exponents, expected {ctx.hirsch} (G({ctx.n}))"
+        )
+    assign = conjugator_to_assignment(ctx, w)
+    if twisted_sum(inst.coefficients, assign) != inst.target:
+        raise SoundnessError("pulled-back assignment does not hit the original target")
+    return assign
+
+
+CHAIN = ("ssp", "sspp", "tssp", "conj")
+# HOPS[i] maps CHAIN[i] to CHAIN[i + 1]: the names of its forward map and of
+# its pullback(source instance, witness of the image).  Callers look them up
+# on this module at call time, so a function replaced here is the one called.
+HOPS = (
+    ("ssp_to_sspprime", "pullback_sspprime_to_ssp"),
+    ("sspprime_to_tssp", "pullback_tssp_to_sspprime"),
+    ("tssp_to_conjugacy", "pullback_conjugacy_to_tssp"),
+)
 
 
 def ssp_search_via_decision(

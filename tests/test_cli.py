@@ -1,16 +1,32 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyconj import (
+    Certificate,
     SolutionFile,
     SspInstance,
     conjugate,
+    conjugator_to_assignment,
     make_context,
     parse_instance,
+    pullback_sspprime_to_ssp,
+    pullback_tssp_to_sspprime,
+    search_conjugator,
     serialize_instance,
+    solve_sspprime_dp,
+    solve_tssp_dp,
+    ssp_to_sspprime,
+    sspprime_to_tssp,
     subset_sum,
+    tssp_to_conjugacy,
     twisted_sum,
 )
 from polyconj.cli import run
@@ -185,6 +201,94 @@ class TestReduceAndPullback:
             assert subset_sum(inst.coefficients, bits) == inst.target
 
 
+# One solvable instance at every level of the chain, and one witness of each.
+_SSP = SspInstance((3, 5, 7), 8)
+_SSPP = ssp_to_sspprime(_SSP)
+_TSSP = sspprime_to_tssp(_SSPP)
+_CONJ = tssp_to_conjugacy(_TSSP)
+_IMAGES = {"ssp": _SSP, "sspp": _SSPP, "tssp": _TSSP, "conj": _CONJ}
+_VALUES = solve_sspprime_dp(_SSPP)
+_ASSIGN = solve_tssp_dp(_TSSP)
+_CERT = CertificateFile(_CONJ.ctx, search_conjugator(_CONJ.ctx, _CONJ.u, _CONJ.v))
+_WITNESS_FILES = {"sspp": SolutionFile(_VALUES), "tssp": SolutionFile(_ASSIGN), "conj": _CERT}
+
+
+def _from_certificate(w):
+    return conjugator_to_assignment(_CONJ.ctx, w)
+
+
+_PULLED_BACK = {
+    "sspp-to-ssp": pullback_sspprime_to_ssp(_SSP, _VALUES),
+    "tssp-to-sspp": pullback_tssp_to_sspprime(_SSPP, _ASSIGN),
+    "tssp-to-ssp": pullback_sspprime_to_ssp(_SSP, pullback_tssp_to_sspprime(_SSPP, _ASSIGN)),
+    "conj-to-tssp": _from_certificate(_CERT.certificate.w),
+    "conj-to-ssp": pullback_sspprime_to_ssp(
+        _SSP, pullback_tssp_to_sspprime(_SSPP, _from_certificate(_CERT.certificate.w))
+    ),
+}
+
+
+class TestRouteMatrix:
+    """Every reduce and pullback route prints what the library hops compose to."""
+
+    @pytest.mark.parametrize(
+        "route", ["ssp-to-sspp", "sspp-to-tssp", "ssp-to-tssp", "tssp-to-conj", "ssp-to-conj"]
+    )
+    def test_reduce(self, write, capsys, route):
+        src, dst = route.split("-to-")
+        path = write(f"i.{src}", _IMAGES[src])
+        assert run_cli(capsys, "reduce", route, path) == (0, serialize_instance(_IMAGES[dst]), "")
+
+    @pytest.mark.parametrize("route", sorted(_PULLED_BACK))
+    def test_pullback(self, write, capsys, route):
+        reduced, src = route.split("-to-")
+        original = write(f"i.{src}", _IMAGES[src])
+        witness = write("w.txt", _WITNESS_FILES[reduced])
+        expected = serialize_instance(SolutionFile(_PULLED_BACK[route]))
+        assert run_cli(capsys, "pullback", route, original, witness) == (0, expected, "")
+
+    @pytest.mark.parametrize("route", ["conj-to-tssp", "conj-to-ssp"])
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            CertificateFile(make_context(2), Certificate((0, 1, 0, 0, 0))),  # other G(n)
+            CertificateFile(_CONJ.ctx, Certificate((0,) * _CONJ.ctx.hirsch)),  # no solution
+        ],
+        ids=["wrong-group", "non-solving"],
+    )
+    def test_pullback_rejects_bad_certificate(self, write, capsys, route, cert):
+        src = route.split("-to-")[1]
+        original = write(f"i.{src}", _IMAGES[src])
+        witness = write("w.cert", cert)
+        code, out, err = run_cli(capsys, "pullback", route, original, witness)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_hops_are_looked_up_at_call_time(write, capsys, monkeypatch):
+    # a function replaced on polyconj.reductions is the one the commands call
+    from polyconj import reductions
+
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in [name for hop in reductions.HOPS for name in hop]:
+        monkeypatch.setattr(reductions, name, recording(name, getattr(reductions, name)))
+    forward, pullback = zip(*reductions.HOPS)
+    original = write("i.ssp", _SSP)
+    assert run_cli(capsys, "reduce", "ssp-to-conj", original)[0] == 0
+    assert calls == list(forward)
+    calls.clear()
+    witness = write("w.cert", _CERT)
+    assert run_cli(capsys, "pullback", "conj-to-ssp", original, witness)[0] == 0
+    assert calls == [*forward[:-1], *reversed(pullback)]
+
+
 class TestConjCommands:
     def test_decide_yes_no(self, write, capsys):
         ctx = make_context(1)
@@ -274,6 +378,19 @@ class TestErrorsAndUsage:
         code, _, err = run_cli(capsys, "solve", "tssp", str(bad))
         assert code == 2 and err.startswith("error:") and "UTF-8" in err
 
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        big = tmp_path / "big.ssp"
+        big.write_text("ssp\n1\n" + "7" * (sys.get_int_max_str_digits() + 1) + "\n0\n")
+        code, out, err = run_cli(capsys, "solve", "ssp", str(big))
+        assert code == 2 and out == "" and err.startswith("error: line 3, column 1:")
+
+    def test_integer_past_the_digit_limit_is_not_written(self, tmp_path, capsys):
+        # the coefficient parses, but 4 times it has one digit too many
+        big = tmp_path / "big.ssp"
+        big.write_text("ssp\n1\n" + "9" * sys.get_int_max_str_digits() + "\n0\n")
+        code, out, err = run_cli(capsys, "reduce", "ssp-to-sspp", str(big))
+        assert code == 2 and out == "" and err.startswith("error:") and "digits" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "ssp", "/nonexistent/i.ssp")
         assert code == 2
@@ -298,6 +415,86 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "bit-length" in out and "states" in out and "meet_seconds" in out
+
+
+_FILE, _OTHER = "FILE", "OTHER"
+_long_digits = st.integers(4295, 4305).map(lambda k: "9" * k)  # both sides of the digit limit
+_odd_token = st.one_of(_long_digits, st.sampled_from(["x", "1.5", "+-3", "0", "-7"]))
+
+
+@st.composite
+def _document(draw, kinds):
+    """File bytes: an instance of one of ``kinds``, often with one token
+    replaced, dropped or added, or else arbitrary bytes."""
+    shape = draw(st.sampled_from(["valid", "valid", "damaged", "bytes"]))
+    if shape == "bytes":
+        return draw(st.binary(max_size=64))
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-1, 1) if kind == "sol" else st.integers(-20, 20)
+    widths = {"conj": (2 * n + 1, 2 * n + 1), "cert": (2 * n + 1,), "sol": (n,)}.get(kind, (n, 1))
+    rows = [[kind], [str(n)], *([str(draw(entry)) for _ in range(w)] for w in widths)]
+    if shape == "damaged":
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        at = draw(st.integers(0, len(row) - 1))
+        change = draw(st.sampled_from(["replace", "drop", "add"]))
+        if change == "drop":
+            del row[at]
+        else:
+            row.insert(at, draw(_odd_token))
+            if change == "replace":
+                del row[at + 1]
+    return "\n".join(" ".join(row) for row in rows).encode()
+
+
+_cap = st.sampled_from([[], ["--max-states", "3"], ["--max-states", "10000"], ["--max-states", "0"],
+                        ["--max-states", "9" * 5000]])
+
+
+def _one(*choices):
+    return st.sampled_from(choices).map(lambda c: [c])
+
+
+_argv = st.one_of(
+    st.tuples(_one("solve"), _one("ssp", "sspp", "tssp", "conj"), _one(_FILE),
+              st.sampled_from([[], ["--method", "brute"], ["--method", "dp"]]),
+              st.sampled_from([[], ["--search"]]), _cap),
+    st.tuples(_one("reduce"),
+              _one("ssp-to-sspp", "sspp-to-tssp", "ssp-to-tssp", "tssp-to-conj", "ssp-to-conj",
+                   "sspp-to-conj"),
+              _one(_FILE)),
+    st.tuples(_one("pullback"),
+              _one("sspp-to-ssp", "tssp-to-sspp", "tssp-to-ssp", "conj-to-tssp", "conj-to-ssp",
+                   "ssp-to-conj"),
+              st.just([_FILE, _OTHER])),
+    st.tuples(_one("conj"), _one("decide", "search", "verify"),
+              st.sampled_from([[_FILE], [_FILE, _OTHER]]), _cap),
+    st.tuples(_one("gen"), _one("ssp", "sspp", "tssp", "conj", "cert"),
+              st.sampled_from(["1", "2", "3", "0"]).map(lambda n: ["--n", n]),
+              st.one_of(st.integers(-1, 50).map(str), _long_digits).map(lambda b: ["--bound", b]),
+              st.one_of(st.integers(-1, 50).map(str), _odd_token).map(lambda s: ["--seed", s]),
+              st.sampled_from([[], ["--solvable"]])),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_exit_code_contract(data):
+    # whatever the arguments and the file contents, run() returns 0, 1 or 2
+    # and no exception gets out; files mostly hold the kinds the command names
+    argv = data.draw(_argv)
+    words = {word for arg in argv for word in arg.split("-to-")}
+    named = tuple(k for k in ("ssp", "sspp", "tssp", "conj") if k in words)
+    kinds = named + named + ("cert", "sol")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {_FILE: Path(tmp) / "a", _OTHER: Path(tmp) / "b"}
+        for path in paths.values():
+            path.write_bytes(data.draw(_document(kinds)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([str(paths.get(arg, arg)) for arg in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_module_entry_point():

@@ -18,6 +18,7 @@ from polyconj import (
     conjugator_to_assignment,
     decide_conjugate,
     make_context,
+    pullback_conjugacy_to_tssp,
     pullback_sspprime_to_ssp,
     pullback_tssp_to_sspprime,
     push_ssp_solution_to_sspprime,
@@ -35,6 +36,9 @@ from polyconj import (
     tssp_to_conjugacy,
     twisted_sum,
 )
+from polyconj import reductions
+from polyconj.formats import KINDS
+from polyconj.reductions import CHAIN, HOPS
 
 
 class TestBruteSolvers:
@@ -239,6 +243,40 @@ class TestTsspToConjugacy:
             ctx = make_context(n)
             bits = tuple(rng.randint(0, 1) for _ in range(n))
             assert conjugator_to_assignment(ctx, assignment_to_conjugator(ctx, bits)) == bits
+
+
+    def test_pullback_from_conjugator(self):
+        # even exponents count mod 2; g_1 and the odd syllables are ignored
+        assert pullback_conjugacy_to_tssp(TsspInstance((3, 5), -2), (4, 3, 7, 1, 9)) == (1, 1)
+
+    @pytest.mark.parametrize("w", [(0, 1, 0), (0, 1, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0)])
+    def test_pullback_rejects_bad_conjugator(self, w):
+        # the first two live in G(1) and G(3); the last solves nothing
+        with pytest.raises(SoundnessError):
+            pullback_conjugacy_to_tssp(TsspInstance((3, 5), -2), w)
+
+
+class TestHopTable:
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        st.lists(st.integers(0, 1), min_size=4, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hops_map_kind_to_kind_and_pull_back_pushed_witnesses(self, coeffs, bits):
+        bits = tuple(bits[: len(coeffs)])
+        inst = SspInstance(tuple(coeffs), subset_sum(coeffs, bits))
+        prime = ssp_to_sspprime(inst)
+        twisted = sspprime_to_tssp(prime)
+        conj = tssp_to_conjugacy(twisted)
+        images = (inst, prime, twisted, conj)
+        values = push_ssp_solution_to_sspprime(bits)
+        assign = push_sspprime_solution_to_tssp(values)
+        witnesses = (bits, values, assign, assignment_to_conjugator(conj.ctx, assign))
+        for i, (forward, pullback) in enumerate(HOPS):
+            assert isinstance(images[i], KINDS[CHAIN[i]])
+            assert getattr(reductions, forward)(images[i]) == images[i + 1]
+            assert getattr(reductions, pullback)(images[i], witnesses[i + 1]) == witnesses[i]
+        assert isinstance(conj, KINDS[CHAIN[-1]])
 
 
 class TestSearchViaDecision:
