@@ -13,6 +13,11 @@ touches:
   Its ``meet_seconds`` column times ``_sweep.meet`` from the target to
   residual 0 on the same instances, the meet-in-the-middle path that
   conjugacy decide and search take; ``states`` stays the full sweep's.
+* ``dense``: solvable instances with small coefficients (n in the hundreds,
+  |k_i| <= 10 or 20), the pseudo-polynomial regime in which ``states`` grows
+  like n * S.  ``seconds`` times the dict sweep ``residual_sweep`` and
+  ``dp_seconds`` the solver ``solve_tssp_dp``, whose stages are dense rows
+  here.
 """
 
 from __future__ import annotations
@@ -22,12 +27,15 @@ import time
 from typing import Sequence
 
 from . import _sweep
-from .tssp import _RESIDUAL_BRANCHES, TsspInstance, residual_sweep, twisted_sum
+from .generate import GenSpec, generate
+from .tssp import _RESIDUAL_BRANCHES, TsspInstance, residual_sweep, solve_tssp_dp, twisted_sum
 
 SCALING_N = 10
 SCALING_SUMS = (10**3, 10**4, 10**5, 10**6)
 ADVERSARIAL_N = 18
 ADVERSARIAL_BITS = (4, 8, 16)
+DENSE_NS = (100, 200, 300)
+DENSE_BOUNDS = (10, 20)
 
 
 def _scaled_instance(rng: random.Random, n: int, total: int) -> TsspInstance:
@@ -101,6 +109,32 @@ def adversarial_rows(
                 "meet_seconds": meet_seconds,
             }
         )
+    return rows
+
+
+def dense_rows(
+    ns: Sequence[int] = DENSE_NS,
+    bounds: Sequence[int] = DENSE_BOUNDS,
+    seed: int = 20250809,
+) -> list[dict]:
+    rng = random.Random(seed)
+    rows = []
+    for n in ns:
+        for bound in bounds:
+            inst = generate(GenSpec("tssp", n, bound, rng.randrange(2**32), solvable=True))
+            seconds, states = _timed_sweep(inst, repeats=1)
+            start = time.perf_counter()
+            solve_tssp_dp(inst)
+            dp_seconds = time.perf_counter() - start
+            rows.append(
+                {
+                    "n": n,
+                    "S": inst.abs_sum,
+                    "states": states,
+                    "seconds": seconds,
+                    "dp_seconds": dp_seconds,
+                }
+            )
     return rows
 
 

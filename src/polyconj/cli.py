@@ -136,6 +136,11 @@ def _cmd_bench(args) -> int:
         print("tssp sweep on random coefficients of growing bit-length")
         columns = ("n", "coefficient_bits", "S", "seconds", "states", "meet_seconds")
         print(bench_mod.format_table(rows, columns))
+        print()
+    if args.suite in ("dense", "all"):
+        rows = bench_mod.dense_rows(seed=args.seed)
+        print("tssp sweep and solver on small coefficients (pseudo-polynomial regime)")
+        print(bench_mod.format_table(rows, ("n", "S", "states", "seconds", "dp_seconds")))
     return 0
 
 
@@ -201,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="print solver scaling tables")
-    p.add_argument("--suite", choices=("scaling", "adversarial", "all"), default="all")
+    p.add_argument("--suite", choices=("scaling", "adversarial", "dense", "all"), default="all")
     p.add_argument("--seed", type=int, default=20250809)
     p.set_defaults(func=_cmd_bench)
 

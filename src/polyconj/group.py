@@ -35,6 +35,12 @@ arithmetic in an actual group:
   of the letter word w . u . w^{-1} (with w^{-1} spelled as the reversed,
   negated letters).
 
+Each operation costs O(h) integer operations, h = 2n + 1: the sign of a
+crossing is the parity of the even exponents to its left, which ``multiply``
+carries as a running parity, ``inverse`` needs only once (every earlier
+step sees zero lower exponents) and ``conjugate`` takes from prefix
+parities of u computed once, since no syllable changes a coordinate >= 2.
+
 Identities that need associativity across rule-crossing products (for
 example (a*b)*c = a*(b*c) for arbitrary elements) can fail for n >= 2; the
 test suite pins both the laws that hold and witnesses for those that do
@@ -96,55 +102,63 @@ def _even_parity(exps: Sequence[int], upto: int) -> int:
     return p
 
 
-def _append_syllable(e: list, i: int, c: int, hirsch: int) -> None:
-    """In place, replace the normal form ``e`` by the normal form of e * g_i^c.
-
-    Moving g_i^c left to its slot crosses only two kinds of obstruction:
-    even-indexed syllables flip the sign of a passing g_1 power, and g_i^c
-    with i even spawns g_1^{(c mod 2) * k_{i+1}} when it hops over
-    g_{i+1}^{k_{i+1}}.
-    """
-    if c == 0:
-        return
-    if i == 1:
-        e[0] += c if _even_parity(e, hirsch) == 0 else -c
-    elif i % 2 == 0:
-        if c & 1:
-            t = e[i]  # exponent of g_{i+1}, still untouched at this point
-            if t:
-                e[0] += t if _even_parity(e, i) == 0 else -t
-        e[i - 1] += c
-    else:
-        e[i - 1] += c
+def _even_parities(exps: Sequence[int]) -> list[int]:
+    """``_even_parity(exps, j)`` for every j = 0 .. len(exps), in one pass."""
+    parities = [0]
+    for t, k in enumerate(exps):
+        parities.append(parities[-1] ^ (k & 1) if t % 2 else parities[-1])
+    return parities
 
 
 def multiply(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
-    """Normal form of the product a * b."""
+    """Normal form of the product a * b.
+
+    b's syllables g_i^c are appended left to right.  Moving g_i^c left to
+    its slot crosses only two kinds of obstruction: even-indexed syllables
+    flip the sign of a passing g_1 power, and g_i^c with i even spawns
+    g_1^{(c mod 2) * k_{i+1}} when it hops over g_{i+1}^{k_{i+1}}.  The sign
+    is the parity of the even exponents up to g_i, which a running parity
+    of the syllables already appended carries from one step to the next, so
+    the product costs O(h) integer operations.
+    """
     _check(ctx, a)
     _check(ctx, b)
     h = ctx.hirsch
     e = list(a)
-    for idx in range(h):
-        _append_syllable(e, idx + 1, b[idx], h)
+    if b[0]:
+        e[0] += -b[0] if _even_parity(e, h) else b[0]
+    parity = 0  # of the even exponents already appended, below g_{idx+1}
+    for idx in range(1, h, 2):  # g_{idx+1} even, then g_{idx+2} odd
+        c = b[idx]
+        t = e[idx + 1]  # exponent of g_{idx+2}, still untouched at this point
+        if c & 1 and t:
+            e[0] += -t if parity ^ (e[idx] & 1) else t
+        e[idx] += c
+        parity ^= e[idx] & 1
+        e[idx + 1] += b[idx + 1]
     return tuple(e)
 
 
 def inverse(ctx: GroupContext, a: GroupElement) -> GroupElement:
     """Left inverse: multiply(ctx, inverse(ctx, a), a) is always the identity.
 
-    Collected from the reversed, negated syllables.  For n = 1 (a genuine
-    group) it is two-sided; for n >= 2 the right-hand product can differ.
+    Collected from the reversed, negated syllables.  Each even syllable
+    g_i^{-k_i} is appended while every exponent below it is still 0, so the
+    g_1 power it spawns over g_{i+1}^{-k_{i+1}} keeps its sign; only the
+    final g_1 step needs the parity of all even exponents.  For n = 1 (a
+    genuine group) it is two-sided; for n >= 2 the right-hand product can
+    differ.
     """
     _check(ctx, a)
     h = ctx.hirsch
-    e = [0] * h
-    for idx in range(h - 1, -1, -1):
-        _append_syllable(e, idx + 1, -a[idx], h)
-    return tuple(e)
+    g1 = -sum(a[idx + 1] for idx in range(1, h, 2) if a[idx] & 1)
+    g1 += a[0] if _even_parity(a, h) else -a[0]
+    return (g1,) + tuple(-k for k in a[1:])
 
 
-def _conjugate_syllable_inplace(e: list, i: int, k: int, hirsch: int) -> None:
-    """In place, replace ``e`` by the normal form of g_i^k * e * g_i^{-k}.
+def _conjugate_syllable_inplace(e: list, i: int, k: int, parities: Sequence[int]) -> None:
+    """In place, replace ``e`` by the normal form of g_i^k * e * g_i^{-k};
+    ``parities`` is ``_even_parities(e)``, which this leaves unchanged.
 
     Only the g_1 exponent can change:
 
@@ -156,18 +170,18 @@ def _conjugate_syllable_inplace(e: list, i: int, k: int, hirsch: int) -> None:
     if k == 0:
         return
     if i == 1:
-        if _even_parity(e, hirsch):
+        if parities[-1]:
             e[0] += 2 * k
     elif i % 2 == 0:
         s = e[0] if k % 2 == 0 else -e[0]
         if k & 1:
             t = e[i]
             if t:
-                s += -t if ((_even_parity(e, i) + k) & 1) else t
+                s += -t if ((parities[i] + k) & 1) else t
         e[0] = s
     else:
         if e[i - 2] & 1:
-            e[0] += -k if _even_parity(e, i - 2) else k
+            e[0] += -k if parities[i - 2] else k
 
 
 def conjugate_by_syllable(ctx: GroupContext, i: int, k: int, u: GroupElement) -> GroupElement:
@@ -178,7 +192,7 @@ def conjugate_by_syllable(ctx: GroupContext, i: int, k: int, u: GroupElement) ->
         )
     _check(ctx, u)
     e = list(u)
-    _conjugate_syllable_inplace(e, i, k, ctx.hirsch)
+    _conjugate_syllable_inplace(e, i, k, _even_parities(u))
     return tuple(e)
 
 
@@ -190,16 +204,19 @@ def conjugate(ctx: GroupContext, w: GroupElement, u: GroupElement) -> GroupEleme
     This is the canonical conjugation operation of the calculus: it
     preserves all coordinates >= 2, satisfies the twisted-sum identity the
     subset-sum reduction relies on, and costs time polynomial in the
-    exponent bit-lengths.
+    exponent bit-lengths.  Since no syllable changes a coordinate >= 2, the
+    prefix parities of u's even exponents are computed once, so the
+    conjugation costs O(h) integer operations.
     """
     _check(ctx, w)
     _check(ctx, u)
     h = ctx.hirsch
     e = list(u)
+    parities = _even_parities(u)
     for idx in range(h - 1, -1, -1):
         k = w[idx]
         if k:
-            _conjugate_syllable_inplace(e, idx + 1, k, h)
+            _conjugate_syllable_inplace(e, idx + 1, k, parities)
     return tuple(e)
 
 

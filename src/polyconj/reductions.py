@@ -108,8 +108,7 @@ def solve_sspprime_brute(inst: SspPrimeInstance, max_n: int = 16) -> SspPrimeSol
 def solve_ssp_dp(inst: SspInstance, max_states: int = 10**7) -> SspSubset | None:
     """A solving subset from the partial-sum sweep, preferring to skip the
     later coefficients."""
-    found = _sweep.trace(_sweep.sweep(0, inst.coefficients, _SUBSET_BRANCHES, max_states),
-                         inst.target)
+    found = _sweep.reach(0, inst.target, inst.coefficients, _SUBSET_BRANCHES, max_states)
     if found is not None and subset_sum(inst.coefficients, found) != inst.target:
         raise SoundnessError("sweep back-trace produced a non-solving subset")
     return found
@@ -120,9 +119,7 @@ def solve_sspprime_dp(
 ) -> SspPrimeSolution | None:
     """A solving value vector from the signed partial-sum sweep, preferring
     0, then -1, at the later coefficients."""
-    choices = _sweep.trace(
-        _sweep.sweep(0, inst.coefficients, _SIGNED_BRANCHES, max_states), inst.target
-    )
+    choices = _sweep.reach(0, inst.target, inst.coefficients, _SIGNED_BRANCHES, max_states)
     if choices is None:
         return None
     found = tuple(_SIGNED_BRANCHES[c][1] for c in choices)

@@ -12,7 +12,15 @@ setting x_i turns t into k_i - t (the later bits now enter negated) while
 clearing it keeps t.  Starting from M, the instance is solvable exactly when
 residual 0 is reachable after the last coefficient.  The sweep is
 polynomial in n * (|M| + sum|k_i|) but exponential in coefficient
-bit-length.
+bit-length.  The solver asks only whether residual 0 is reached, so it runs
+``_sweep.reach``, which keeps dense stages as bool rows: with small
+coefficients (the pseudo-polynomial regime) a stage costs a few ns per
+residual in [lo, hi] instead of a dict entry per residual.  The assignment
+is the one the dict sweep's back-trace gives.
+
+Through ``reductions.tssp_to_conjugacy`` an assignment becomes a conjugator
+in G(n), h = 2n + 1, and checking it with ``group.conjugate`` costs O(h)
+integer operations.
 """
 
 from __future__ import annotations
@@ -103,8 +111,8 @@ def residual_sweep(inst: TsspInstance, max_states: int = 10**7) -> list[_sweep.S
 
 def solve_tssp_dp(inst: TsspInstance, max_states: int = 10**7) -> Assignment | None:
     """Solve by the residual sweep plus back-trace from residual 0; where
-    both bits reach a residual, its back-pointer keeps bit 0."""
-    found = _sweep.trace(residual_sweep(inst, max_states), 0)
+    both bits reach a residual, the back-trace keeps bit 0."""
+    found = _sweep.reach(inst.target, 0, inst.coefficients, _RESIDUAL_BRANCHES, max_states)
     if found is not None and twisted_sum(inst.coefficients, found) != inst.target:
         raise SoundnessError("sweep back-trace produced a non-solving assignment")
     return found

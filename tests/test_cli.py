@@ -103,6 +103,30 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "tssp", path, "--max-states", "4")
         assert code == 0 and parse_instance(out).values == (0, 0)
 
+    @pytest.mark.parametrize("kind, branches", [("tssp", ((1, 0), (-1, 1))),
+                                                ("sspp", ((1, 0), (1, -1), (1, 1)))],
+                             ids=["tssp", "sspp"])
+    def test_max_states_flag_in_the_dense_regime(self, write, capsys, kind, branches):
+        # the cap counts reachable values whether a stage is a dict or a
+        # dense row, so it fails at the stage, and with the line, of the
+        # dict sweep
+        from polyconj import GenSpec, StateLimitError, generate
+        from polyconj._sweep import sweep
+
+        inst = generate(GenSpec(kind, 100, 10, seed=1, solvable=True))
+        path = write(f"i.{kind}", inst)
+        start = inst.target if kind == "tssp" else 0
+        total = sum(len(stage) for stage in sweep(start, inst.coefficients, branches))
+        for cap in (total // 3, total - 1):
+            with pytest.raises(StateLimitError) as exc:
+                sweep(start, inst.coefficients, branches, cap)
+            code, _, err = run_cli(capsys, "solve", kind, path, "--method", "dp",
+                                   "--max-states", str(cap))
+            assert code == 2 and err == f"error: {exc.value}\n"
+        code, out, _ = run_cli(capsys, "solve", kind, path, "--method", "dp",
+                               "--max-states", str(total))
+        assert code == 0 and isinstance(parse_instance(out), SolutionFile)
+
     @pytest.mark.parametrize("command", [("solve", "tssp"), ("conj", "decide")])
     @pytest.mark.parametrize("value", ["0", "-5", "many"])
     def test_max_states_rejects_bad_values(self, write, capsys, command, value):
@@ -415,6 +439,16 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "bit-length" in out and "states" in out and "meet_seconds" in out
+
+    def test_dense_suite_times_sweep_and_solver(self, capsys):
+        code = run(["bench", "--suite", "dense", "--seed", "5"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and "pseudo-polynomial" in lines[0]
+        assert lines[1].split() == ["n", "S", "states", "seconds", "dp_seconds"]
+        rows = [line.split() for line in lines[2:]]
+        assert [(int(r[0]), len(r)) for r in rows] == [(n, 5) for n in (100, 100, 200, 200, 300, 300)]
+        # small coefficients: S grows with n and the bound, states with n * S
+        assert all(int(r[1]) <= 20 * int(r[0]) and int(r[2]) > int(r[1]) for r in rows)
 
 
 _FILE, _OTHER = "FILE", "OTHER"

@@ -252,3 +252,95 @@ class TestConventionIsNotAGroup:
         a = (0, 1, 0, 1, 1)  # g_2 g_4 g_5
         assert multiply(ctx, inverse(ctx, a), a) == identity(ctx)
         assert multiply(ctx, a, inverse(ctx, a)) == (-2, 0, 0, 0, 0)
+
+
+# Reference copies of the original O(h^2) operations, which rescan the even
+# prefix for every syllable; the O(h) operations must agree with them exactly.
+def _ref_even_parity(exps, upto):
+    p = 0
+    for t in range(1, upto, 2):
+        p ^= exps[t] & 1
+    return p
+
+
+def _ref_append_syllable(e, i, c, hirsch):
+    if c == 0:
+        return
+    if i == 1:
+        e[0] += c if _ref_even_parity(e, hirsch) == 0 else -c
+    elif i % 2 == 0:
+        if c & 1:
+            t = e[i]
+            if t:
+                e[0] += t if _ref_even_parity(e, i) == 0 else -t
+        e[i - 1] += c
+    else:
+        e[i - 1] += c
+
+
+def _ref_multiply(h, a, b):
+    e = list(a)
+    for idx in range(h):
+        _ref_append_syllable(e, idx + 1, b[idx], h)
+    return tuple(e)
+
+
+def _ref_inverse(h, a):
+    e = [0] * h
+    for idx in range(h - 1, -1, -1):
+        _ref_append_syllable(e, idx + 1, -a[idx], h)
+    return tuple(e)
+
+
+def _ref_conjugate_syllable(e, i, k, hirsch):
+    if k == 0:
+        return
+    if i == 1:
+        if _ref_even_parity(e, hirsch):
+            e[0] += 2 * k
+    elif i % 2 == 0:
+        s = e[0] if k % 2 == 0 else -e[0]
+        if k & 1:
+            t = e[i]
+            if t:
+                s += -t if ((_ref_even_parity(e, i) + k) & 1) else t
+        e[0] = s
+    else:
+        if e[i - 2] & 1:
+            e[0] += -k if _ref_even_parity(e, i - 2) else k
+
+
+def _ref_conjugate(h, w, u):
+    e = list(u)
+    for idx in range(h - 1, -1, -1):
+        _ref_conjugate_syllable(e, idx + 1, w[idx], h)
+    return tuple(e)
+
+
+# zeros and small odd/even exponents exercise every branch of the closed
+# forms; the wide ones keep the arithmetic exact past 64 bits
+_exponent = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70)
+)
+
+
+@st.composite
+def _elements(draw, count):
+    n = draw(st.integers(1, 60))
+    h = 2 * n + 1
+    return ctx_n(n), [tuple(draw(_exponent) for _ in range(h)) for _ in range(count)]
+
+
+class TestLinearTimeOperations:
+    @settings(max_examples=200, deadline=None)
+    @given(_elements(2), st.data())
+    def test_match_the_quadratic_reference(self, drawn, data):
+        ctx, (a, b) = drawn
+        h = ctx.hirsch
+        assert multiply(ctx, a, b) == _ref_multiply(h, a, b)
+        assert inverse(ctx, a) == _ref_inverse(h, a)
+        assert conjugate(ctx, a, b) == _ref_conjugate(h, a, b)
+        i = data.draw(st.integers(1, h))
+        e = list(b)
+        _ref_conjugate_syllable(e, i, a[0], h)
+        assert conjugate_by_syllable(ctx, i, a[0], b) == tuple(e)

@@ -1,12 +1,15 @@
 import itertools
 import random
+import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyconj import InvalidParameterError, StateLimitError
-from polyconj._sweep import meet, sweep, trace
+from polyconj import _sweep
+from polyconj._sweep import meet, reach, sweep, trace
 
 # The branch tables of the four solvers: conjugacy, TSSP residuals, signed
 # and plain subset sum.
@@ -123,3 +126,114 @@ def test_meet_state_cap_counts_both_halves():
             meet(0, 110, addends, BRANCH_TABLES["ssp"], max_states=bad)
         with pytest.raises(InvalidParameterError):  # empty forward half
             meet(0, 1, [1], BRANCH_TABLES["ssp"], max_states=bad)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(BRANCH_TABLES)),
+    addends=st.lists(
+        st.one_of(st.sampled_from((0, 1, -1, 3)), st.integers(-40, 40)), min_size=1, max_size=14
+    ),
+    # one huge addend spreads the values apart, so the stages after it are
+    # dicts until they fill back in
+    spike=st.one_of(st.none(), st.tuples(st.integers(0, 13), st.integers(-(10**12), 10**12))),
+    start=st.one_of(st.integers(-20, 20), st.integers(-(10**20), 10**20)),
+    data=st.data(),
+)
+def test_reach_is_the_full_sweeps_trace(kind, addends, spike, start, data):
+    branches = BRANCH_TABLES[kind]
+    if spike is not None:
+        addends[spike[0] % len(addends)] = spike[1]
+    if data.draw(st.booleans()):
+        final = data.draw(st.integers(-100, 100))
+    else:
+        final = start
+        for e in addends:
+            final = apply(branches[data.draw(st.integers(0, len(branches) - 1))], final, e)
+    assert reach(start, final, addends, branches) == trace(sweep(start, addends, branches), final)
+
+
+def stage_representations(monkeypatch):
+    """Record, per stage, whether ``reach`` built a row (R) or a dict (d),
+    and the row's cells or the dict's values."""
+    seen = []
+
+    def recorded(step, tag, *args):
+        stage = step(*args)
+        seen.append((tag, len(stage)))
+        return stage
+
+    for name, tag in (("_row_step", "R"), ("_dict_step", "d")):
+        monkeypatch.setattr(_sweep, name, partial(recorded, getattr(_sweep, name), tag))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "addends, pattern",
+    [
+        ([1, 2, 3, 1, 2, 3, 1, 2], "R{8}"),
+        ([10**9, 3 * 10**9, 7 * 10**9], "d{3}"),
+        # dense, then one large addend splits the values apart, then the
+        # stages fill back in once there are enough values for the span
+        ([1, 2, 3, 1000, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1], "R{3}d+R+"),
+    ],
+    ids=["all-rows", "all-dicts", "mixed"],
+)
+@pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
+def test_stage_representation_follows_density(monkeypatch, kind, addends, pattern):
+    branches = BRANCH_TABLES[kind]
+    stages = sweep(0, addends, branches)
+    seen = stage_representations(monkeypatch)
+    for final in list(stages[-1])[:20] + [10**9 + 12345]:
+        seen.clear()
+        assert reach(0, final, addends, branches) == trace(stages, final)
+        assert re.fullmatch(pattern, "".join(tag for tag, _ in seen))
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
+def test_row_and_dict_steps_reach_the_same_values(kind):
+    branches = BRANCH_TABLES[kind]
+    rng = random.Random(33)
+    for _ in range(200):
+        lo = rng.choice((0, -7, 10**30))
+        values = sorted({lo, lo + rng.randint(0, 40)} | {lo + rng.randint(0, 40) for _ in range(5)})
+        hi, e = values[-1], rng.randint(-50, 50)
+        ends = [sign * v + weight * e for sign, weight in branches for v in (lo, hi)]
+        new_lo = min(ends)
+        width = max(ends) - new_lo + 1
+        if width > 1000:  # a sign -1 branch far from 0: reach keeps such stages as dicts
+            continue
+        row = _sweep._row_step(_sweep._row(values, lo, hi), lo, hi, new_lo, width, e, branches)
+        table = _sweep._dict_step(values, e, branches)
+        assert row[0] and row[-1]
+        assert _sweep._values(row, new_lo) == sorted(table)
+
+
+def test_reach_state_cap_matches_the_sweep(monkeypatch):
+    # a pseudo-polynomial instance: most stages are dense rows once the cap
+    # leaves room for them, and every cap fails at the same stage as the sweep
+    rng = random.Random(34)
+    branches = BRANCH_TABLES["tssp"]
+    addends = [rng.randint(-6, 6) for _ in range(24)]
+    total = sum(len(stage) for stage in sweep(5, addends, branches))
+    for cap in range(1, total + 1):
+        try:
+            expected = trace(sweep(5, addends, branches, cap), 0)
+        except StateLimitError as exc:
+            with pytest.raises(StateLimitError) as caught:
+                reach(5, 0, addends, branches, cap)
+            assert str(caught.value) == str(exc)
+        else:
+            assert reach(5, 0, addends, branches, cap) == expected
+    seen = stage_representations(monkeypatch)
+    for cap in (total, 10**7):
+        seen.clear()
+        reach(5, 0, addends, branches, cap)
+        cells = [size for tag, size in seen if tag == "R"]
+        assert len(cells) > len(addends) // 2 and sum(cells) <= cap
+    # unrestricted, the rows hold more cells than the sweep has values, so
+    # the cap of ``total`` did keep some stages dicts
+    assert sum(cells) > total
+    for bad in (0, -5):
+        with pytest.raises(InvalidParameterError):
+            reach(5, 0, addends, branches, bad)
