@@ -1,6 +1,6 @@
 """Benchmark harness for the reachability sweep, run as the TSSP solver.
 
-Two suites, both timing ``tssp.residual_sweep`` and counting the states it
+Three suites, each timing ``tssp.residual_sweep`` and counting the states it
 touches:
 
 * ``scaling``: fixed n, coefficient magnitudes scaled so sum|k_i| = S for a

@@ -223,6 +223,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "conj" and args.action == "verify" and args.certificate is None:
             raise InvalidParameterError("conj verify needs both an instance and a cert file")
+        if args.command == "conj" and args.action != "verify" and args.certificate is not None:
+            raise InvalidParameterError(
+                f"conj {args.action} takes one instance file, got extra {args.certificate!r}"
+            )
         return args.func(args)
     except PolyconjError as exc:
         print(f"error: {exc}", file=sys.stderr)

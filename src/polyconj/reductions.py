@@ -89,8 +89,9 @@ def solve_ssp_brute(inst: SspInstance, max_n: int = 25) -> SspSubset | None:
         raise OracleTooLargeError(
             f"brute force over 2^{inst.n} subsets exceeds the cap n <= {max_n}"
         )
-    return _search.first_subset_match(
-        inst.coefficients, inst.target, lambda bits: subset_sum(inst.coefficients, bits)
+    return _search.first_match(
+        inst.coefficients, inst.target, _search.SUBSET,
+        lambda bits: subset_sum(inst.coefficients, bits),
     )
 
 
@@ -100,8 +101,9 @@ def solve_sspprime_brute(inst: SspPrimeInstance, max_n: int = 16) -> SspPrimeSol
         raise OracleTooLargeError(
             f"brute force over 3^{inst.n} vectors exceeds the cap n <= {max_n}"
         )
-    return _search.first_ternary_match(
-        inst.coefficients, inst.target, lambda vals: signed_sum(inst.coefficients, vals)
+    return _search.first_match(
+        inst.coefficients, inst.target, _search.SIGNED,
+        lambda vals: signed_sum(inst.coefficients, vals),
     )
 
 

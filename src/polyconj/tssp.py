@@ -95,8 +95,9 @@ def solve_tssp_brute(inst: TsspInstance, max_n: int = 25) -> Assignment | None:
         raise OracleTooLargeError(
             f"brute force over 2^{inst.n} assignments exceeds the cap n <= {max_n}"
         )
-    found = _search.first_twisted_match(
-        inst.coefficients, inst.target, lambda bits: twisted_sum(inst.coefficients, bits)
+    found = _search.first_match(
+        inst.coefficients, inst.target, _search.TWISTED,
+        lambda bits: twisted_sum(inst.coefficients, bits),
     )
     if found is not None and twisted_sum(inst.coefficients, found) != inst.target:
         raise SoundnessError("brute-force assignment failed re-verification")

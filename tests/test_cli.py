@@ -366,6 +366,13 @@ class TestConjCommands:
         code, _, err = run_cli(capsys, "conj", "verify", path)
         assert code == 2 and "cert" in err
 
+    @pytest.mark.parametrize("action", ["decide", "search"])
+    def test_decide_and_search_reject_a_certificate_argument(self, write, capsys, action):
+        ctx = make_context(1)
+        path = write("i.conj", ConjugacyInstance(ctx, (0, 0, 5), (-5, 0, 5)))
+        code, out, err = run_cli(capsys, "conj", action, path, "nonexistent.file")
+        assert code == 2 and out == "" and err.startswith("error:") and "extra" in err
+
 
 class TestGen:
     def test_deterministic(self, capsys):

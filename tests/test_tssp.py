@@ -58,14 +58,11 @@ class TestBruteForce:
         assert solve_tssp_brute(inst) == (1, 1)
 
 
-    @pytest.mark.parametrize(
-        "scan",
-        [_search.first_subset_match, _search.first_ternary_match, _search.first_twisted_match],
-    )
-    def test_vectorized_hit_is_rechecked(self, scan):
+    @pytest.mark.parametrize("alphabet", ["SUBSET", "SIGNED", "TWISTED"])
+    def test_vectorized_hit_is_rechecked(self, alphabet):
         # an exact evaluator that disagrees with the vectorized sum is a bug
         with pytest.raises(SoundnessError):
-            scan((1, 2), 2, lambda candidate: 0)
+            _search.first_match((1, 2), 2, getattr(_search, alphabet), lambda candidate: 0)
 
 
 class TestResidualSweep:
