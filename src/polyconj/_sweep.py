@@ -19,10 +19,17 @@ collisions and later branches only add values not already present.  The
 arithmetic is written out per sign rather than passed in as a function:
 a Python call per state made the conjugacy sweep 10-20% slower.
 
-``reach`` answers the same question for one known final value, as the
-subset-sum solvers ask it, and returns ``trace(sweep(...), final)``.  It
-holds each stage in one of two forms (Pisinger, "Dynamic programming on the
-word RAM", Algorithmica 2003):
+``reach`` and ``meet`` answer the question for one known final value and
+return ``trace(sweep(...), final)``.  Both are ``_find``, split at another
+stage: ``reach`` (the subset-sum solvers) at the last, ``meet`` (conjugacy)
+at the middle, so that each half holds about the square root of the values
+one full sweep would (Horowitz and Sahni, J. ACM 1974).  One stage builder
+runs forward from the start over stages 1 .. split, giving F_0 .. F_split,
+and backward from the final value over the rest with each branch inverted
+(``t = sign * s + weight * e`` gives ``s = sign * t - sign * weight * e``,
+the branch ``(sign, -sign * weight)``), giving B_m = {final} .. B_split,
+the values that reach the final value.  It holds each stage in one of two
+forms (Pisinger, "Dynamic programming on the word RAM", Algorithmica 2003):
 
 * sparse, the dict step ``sweep`` takes, at a few hundred ns per value;
 * dense, a numpy bool row over the stage's value interval [lo, hi].  Each
@@ -34,35 +41,27 @@ word RAM", Algorithmica 2003):
   v - lo reaches numpy.
 
 A stage is dense when the stage before it holds at least one value per
-``_DENSE_RATIO`` (64) cells of the new interval, and while the dense rows
-together stay within ``max_states`` cells, so they never take more than
-``max_states`` bytes; otherwise it is sparse, so one huge addend turns the
-stages after it back into dicts until they fill in again.  The cap still
-counts reachable values (``np.count_nonzero`` on a row), so both forms fail
-on the same inputs, at the same stage.  The back-trace tests membership
-only: at each stage it takes the lowest branch whose inverse ``s = sign *
-(t - weight * e)`` lies in the stage before.  That is exactly the
-back-pointer ``sweep`` stores, since there the lowest branch that reaches
-a value from the previous stage wins.
+``_DENSE_RATIO`` (64) cells of the new interval and the dense rows of both
+halves stay within ``max_states`` cells (bytes) together; otherwise it is
+sparse, so one huge addend turns the stages after it back into dicts until
+they fill in again.  The cap counts the values of every F and B stage
+(``np.count_nonzero`` on a row) after each one, so both forms fail on the
+same inputs, at the same stage.
 
-``meet`` answers the question for one known final value by meeting in the
-middle (Horowitz and Sahni, J. ACM 1974): ``sweep`` runs forward from the
-start over the first half of the stages, and a second sweep runs backward
-from the final value over the rest, so each side holds about the square
-root of the values one full sweep would.  The backward half inverts each
-branch: ``t = sign * s + weight * e`` gives ``s = sign * t - sign * weight
-* e``, the branch ``(sign, -sign * weight)``.  It is value-major: it visits
-the values of a layer in dict order and, for each, the branches in order,
-keeping the first insertion.  By induction every layer's dict order is then
-the lexicographic order of the choices (c_m, c_{m-1}, ...) that first reach
-each value, so the first value of the last backward layer that the forward
-half also reached starts the smallest choice list of all.  Tracing it both
-ways gives exactly ``trace(sweep(start, addends, branches), final)``.
+The path pass keeps P_split, the values of B_split that F_split holds, and
+for i > split P_i, the values of B_i one dict step reaches from P_{i-1}.
+The back-trace tests membership only: from the final value it takes at
+each stage the lowest branch whose inverse ``s = sign * (t - weight * e)``
+lies in the stage before, among F_0 .. F_split, P_{split+1} .. P_m.  That
+is the back-pointer ``sweep`` stores, where the lowest branch that reaches
+a value wins; past the split too, since a value that steps to one on the
+way back reaches the final value, so it lies in P_{i-1} exactly when it
+lies in F_{i-1}.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -71,7 +70,7 @@ from .errors import InvalidParameterError, StateLimitError
 Branch = tuple[int, int]
 Stage = dict[int, tuple[int, int]]
 
-# ``reach`` holds a stage as a dense row when the stage before it has at
+# ``_find`` holds a stage as a dense row when the stage before it has at
 # least one value per _DENSE_RATIO cells of the new row.  On a 2-core VM a
 # dict step costs 280-620 ns per value and a row step 1-4 ns per cell plus
 # about 7 us: rows break even at roughly 75-600 cells per value, so at 64 a
@@ -192,6 +191,73 @@ def _holds(lo: int, stage: Collection[int] | np.ndarray, value: int) -> bool:
     return value in stage
 
 
+def _find(
+    start: int,
+    final: int,
+    addends: Sequence[int],
+    branches: Sequence[Branch],
+    max_states: int,
+    split: int,
+) -> tuple[int, ...] | None:
+    """``trace(sweep(start, addends, branches), final)``, with stages 1 ..
+    ``split`` swept forward from ``start`` and the rest backward from
+    ``final``; each stage a dict or a dense bool row."""
+    _require_positive_cap(max_states)
+    m = len(addends)
+    inverses = tuple((sign, -sign * weight) for sign, weight in branches)
+    halves = []
+    states = cells = 0
+    for value, numbers, moves in ((start, range(1, split + 1), branches),
+                                  (final, range(m, split, -1), inverses)):
+        lo = hi = value
+        stage: Collection[int] | np.ndarray = (value,)
+        count = 1
+        layers = [(lo, stage)]
+        for i in numbers:
+            e = addends[i - 1]
+            # each branch maps [lo, hi] onto an interval whose ends are images
+            # of lo and hi, both reachable, so the new interval is exact too
+            ends = [sign * v + weight * e for sign, weight in moves for v in (lo, hi)]
+            new_lo, new_hi = min(ends), max(ends)
+            width = new_hi - new_lo + 1
+            if count * _DENSE_RATIO >= width and cells + width <= max_states:
+                stage = _row_step(_row(stage, lo, hi), lo, hi, new_lo, width, e, moves)
+                count = int(np.count_nonzero(stage))
+                cells += width
+            else:
+                stage = _dict_step(_values(stage, lo), e, moves)
+                count = len(stage)
+            states += count
+            _enforce_cap(states, max_states, i, m)
+            lo, hi = new_lo, new_hi
+            layers.append((lo, stage))
+        halves.append(layers)
+    # held grows from F_0 .. F_split into the stages the back-trace reads;
+    # backward[j] is B_{split + j}
+    held, backward = halves[0], halves[1][::-1]
+    (f_lo, f_stage), (b_lo, b_stage) = held[-1], backward[0]
+    path: Collection[int] = {v for v in _values(b_stage, b_lo) if _holds(f_lo, f_stage, v)}
+    for i in range(split + 1, m + 1):
+        b_lo, b_stage = backward[i - split]
+        step = _dict_step(path, addends[i - 1], branches)
+        path = {t for t in step if _holds(b_lo, b_stage, t)}
+        held.append((b_lo, path))
+    if not path:
+        return None
+    choices = []
+    t = final
+    for i in range(m, 0, -1):
+        e = addends[i - 1]
+        prev_lo, prev = held[i - 1]
+        for choice, (sign, weight) in enumerate(branches):
+            s = sign * (t - weight * e)
+            if _holds(prev_lo, prev, s):
+                break
+        choices.append(choice)
+        t = s
+    return tuple(reversed(choices))
+
+
 def reach(
     start: int,
     final: int,
@@ -205,43 +271,7 @@ def reach(
     Raises the StateLimitError ``sweep`` raises, at the same stage: the cap
     counts reachable values in either representation.
     """
-    _require_positive_cap(max_states)
-    lo = hi = start
-    stage: Collection[int] | np.ndarray = (start,)
-    count = 1
-    held = [(lo, stage)]
-    states = cells = 0
-    for i, e in enumerate(addends, start=1):
-        # each branch maps [lo, hi] onto an interval whose ends are images of
-        # lo and hi, both reachable, so the new interval is exact too
-        ends = [sign * v + weight * e for sign, weight in branches for v in (lo, hi)]
-        new_lo, new_hi = min(ends), max(ends)
-        width = new_hi - new_lo + 1
-        if count * _DENSE_RATIO >= width and cells + width <= max_states:
-            stage = _row_step(_row(stage, lo, hi), lo, hi, new_lo, width, e, branches)
-            count = int(np.count_nonzero(stage))
-            cells += width
-        else:
-            stage = _dict_step(_values(stage, lo), e, branches)
-            count = len(stage)
-        states += count
-        _enforce_cap(states, max_states, i, len(addends))
-        lo, hi = new_lo, new_hi
-        held.append((lo, stage))
-    if not _holds(lo, stage, final):
-        return None
-    choices = []
-    t = final
-    for i in range(len(addends), 0, -1):
-        e = addends[i - 1]
-        prev_lo, prev = held[i - 1]
-        for choice, (sign, weight) in enumerate(branches):
-            s = sign * (t - weight * e)
-            if _holds(prev_lo, prev, s):
-                break
-        choices.append(choice)
-        t = s
-    return tuple(reversed(choices))
+    return _find(start, final, addends, branches, max_states, len(addends))
 
 
 def meet(
@@ -252,38 +282,9 @@ def meet(
     max_states: int = 10**7,
 ) -> tuple[int, ...] | None:
     """``trace(sweep(start, addends, branches), final)``, found by sweeping
-    the first half of the stages forward and the rest backward; ``addends``
-    holds at least one stage.
+    the first half of the stages forward and the rest backward.
 
     Raises StateLimitError once the forward stages and the backward layers
     together hold more than ``max_states`` values.
     """
-    half = len(addends) // 2
-    forward = sweep(start, addends[:half], branches, max_states)
-    states = sum(len(table) for table in forward)
-    inverses = tuple((sign, -sign * weight) for sign, weight in branches)
-    layers: list[Stage] = []
-    values: Iterable[int] = (final,)
-    for i in range(len(addends), half, -1):
-        moves = tuple((choice, sign, weight * addends[i - 1])
-                      for choice, (sign, weight) in enumerate(inverses))
-        layer: Stage = {}
-        for t in values:
-            for choice, sign, off in moves:
-                s = t + off if sign > 0 else off - t
-                if s not in layer:
-                    layer[s] = (t, choice)
-        states += len(layer)
-        if states > max_states:
-            raise StateLimitError(
-                f"meet-in-the-middle sweep exceeded {max_states} states "
-                f"at stage {i} of {len(addends)}"
-            )
-        layers.append(layer)
-        values = layer
-    reached = forward[-1] if forward else (start,)
-    middle = next((s for s in values if s in reached), None)
-    if middle is None:
-        return None
-    # the backward layers run last stage first, so their trace is reversed
-    return (trace(forward, middle) if forward else ()) + trace(layers, middle)[::-1]
+    return _find(start, final, addends, branches, max_states, len(addends) // 2)

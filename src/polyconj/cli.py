@@ -165,6 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Subset-sum variants, their reductions, and conjugacy in the groups G(n).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    routes = [(a, b) for i, a in enumerate(CHAIN) for b in CHAIN[i + 1:]]
 
     p = sub.add_parser("solve", help="decide an instance and print a witness when one exists")
     p.add_argument("problem", choices=("ssp", "sspp", "tssp"))
@@ -177,14 +178,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="transform an instance along one reduction hop")
-    p.add_argument("which", choices=("ssp-to-sspp", "sspp-to-tssp", "ssp-to-tssp",
-                                     "tssp-to-conj", "ssp-to-conj"))
+    p.add_argument("which", choices=[f"{a}-to-{b}" for a, b in routes])
     p.add_argument("file")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("pullback", help="map a reduced-instance witness back to the source")
-    p.add_argument("which", choices=("sspp-to-ssp", "tssp-to-sspp", "tssp-to-ssp",
-                                     "conj-to-tssp", "conj-to-ssp"))
+    p.add_argument("which", choices=[f"{b}-to-{a}" for a, b in routes])
     p.add_argument("original", help="the source instance file")
     p.add_argument("witness", help="solution or certificate file for the reduced instance")
     p.set_defaults(func=_cmd_pullback)

@@ -27,7 +27,7 @@ from .reductions import ConjugacyInstance, SspInstance, SspPrimeInstance
 from .tssp import TsspInstance
 
 _TOKEN = re.compile(r"\S+")
-_INT = re.compile(r"[+-]?\d+\Z")
+_INT = re.compile(r"[+-]?\d+\Z", re.ASCII)  # \d alone also matches non-ASCII digits
 
 
 @dataclass(frozen=True)

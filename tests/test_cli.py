@@ -246,6 +246,7 @@ _PULLED_BACK = {
     "tssp-to-sspp": pullback_tssp_to_sspprime(_SSPP, _ASSIGN),
     "tssp-to-ssp": pullback_sspprime_to_ssp(_SSP, pullback_tssp_to_sspprime(_SSPP, _ASSIGN)),
     "conj-to-tssp": _from_certificate(_CERT.certificate.w),
+    "conj-to-sspp": pullback_tssp_to_sspprime(_SSPP, _from_certificate(_CERT.certificate.w)),
     "conj-to-ssp": pullback_sspprime_to_ssp(
         _SSP, pullback_tssp_to_sspprime(_SSPP, _from_certificate(_CERT.certificate.w))
     ),
@@ -256,7 +257,8 @@ class TestRouteMatrix:
     """Every reduce and pullback route prints what the library hops compose to."""
 
     @pytest.mark.parametrize(
-        "route", ["ssp-to-sspp", "sspp-to-tssp", "ssp-to-tssp", "tssp-to-conj", "ssp-to-conj"]
+        "route",
+        ["ssp-to-sspp", "sspp-to-tssp", "ssp-to-tssp", "tssp-to-conj", "ssp-to-conj", "sspp-to-conj"],
     )
     def test_reduce(self, write, capsys, route):
         src, dst = route.split("-to-")
@@ -414,6 +416,13 @@ class TestErrorsAndUsage:
         big.write_text("ssp\n1\n" + "7" * (sys.get_int_max_str_digits() + 1) + "\n0\n")
         code, out, err = run_cli(capsys, "solve", "ssp", str(big))
         assert code == 2 and out == "" and err.startswith("error: line 3, column 1:")
+
+    def test_non_ascii_digits_are_a_parse_error(self, tmp_path, capsys):
+        # int() reads Arabic-Indic and fullwidth digits, but the format is ASCII
+        odd = tmp_path / "odd.ssp"
+        odd.write_text("ssp\n\u0661\n\u0663\n\uff13\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", "ssp", str(odd))
+        assert code == 2 and out == "" and err.startswith("error: line 2, column 1:")
 
     def test_integer_past_the_digit_limit_is_not_written(self, tmp_path, capsys):
         # the coefficient parses, but 4 times it has one digit too many

@@ -237,3 +237,121 @@ def test_reach_state_cap_matches_the_sweep(monkeypatch):
     for bad in (0, -5):
         with pytest.raises(InvalidParameterError):
             reach(5, 0, addends, branches, bad)
+
+
+def replayed_or_free_final(data, start, addends, branches):
+    """A final value reached by replaying drawn choices, or a free one,
+    which is usually unreachable."""
+    if data.draw(st.booleans()):
+        return data.draw(st.integers(-100, 100))
+    final = start
+    for e in addends:
+        final = apply(branches[data.draw(st.integers(0, len(branches) - 1))], final, e)
+    return final
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(BRANCH_TABLES)),
+    addends=st.lists(
+        st.one_of(st.sampled_from((0, 1, -1, 3)), st.integers(-40, 40)), min_size=1, max_size=10
+    ),
+    spike=st.one_of(st.none(), st.tuples(st.integers(0, 9), st.integers(-(10**12), 10**12))),
+    start=st.one_of(st.integers(-20, 20), st.integers(-(10**20), 10**20)),
+    data=st.data(),
+)
+def test_every_split_is_the_full_sweeps_trace(kind, addends, spike, start, data):
+    # reach splits after the last stage and meet at the middle; any split
+    # must give the full sweep's very trace
+    branches = BRANCH_TABLES[kind]
+    if spike is not None:
+        addends[spike[0] % len(addends)] = spike[1]
+    final = replayed_or_free_final(data, start, addends, branches)
+    expected = trace(sweep(start, addends, branches), final)
+    for split in range(len(addends) + 1):
+        assert _sweep._find(start, final, addends, branches, 10**7, split) == expected
+
+
+def inverted(branches):
+    return tuple((sign, -sign * weight) for sign, weight in branches)
+
+
+@pytest.mark.parametrize(
+    "addends",
+    [[1, 10, 100], [4, -2, 6, 1, -5, 3, 2, -6, 5, 1, 3], [10**6, -(3 * 10**7), 7 * 10**8, 5, 11]],
+    ids=["spread", "dense", "huge"],
+)
+@pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
+def test_meet_cap_counts_forward_stages_and_backward_layers(monkeypatch, kind, addends):
+    branches = BRANCH_TABLES[kind]
+    m, half = len(addends), len(addends) // 2
+    final = 0
+    for k, e in enumerate(addends):
+        final = apply(branches[k % len(branches)], final, e)
+    # the values meet holds, stage by stage, and each stage's true number
+    sizes = [len(stage) for stage in sweep(0, addends[:half], branches)]
+    sizes += [len(layer) for layer in sweep(final, addends[half:][::-1], inverted(branches))]
+    numbers = [*range(1, half + 1), *range(m, half, -1)]
+    held = list(itertools.accumulate(sizes))
+    expected = trace(sweep(0, addends, branches), final)
+    assert expected is not None
+    seen = stage_representations(monkeypatch)
+    for cap in range(1, held[-1] + 1):
+        seen.clear()
+        over = next((k for k, count in enumerate(held) if count > cap), None)
+        if over is None:
+            assert meet(0, final, addends, branches, cap) == expected
+        else:
+            with pytest.raises(StateLimitError) as caught:
+                meet(0, final, addends, branches, cap)
+            assert str(caught.value) == (
+                f"reachability sweep exceeded {cap} states at stage {numbers[over]} of {m}"
+            )
+        # the rows of both halves share one budget of cap cells
+        assert sum(size for tag, size in seen if tag == "R") <= cap
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
+def test_meet_path_pass_holds_only_values_on_a_path(monkeypatch, kind):
+    # huge addends keep every stage a dict, so the last dict steps are the
+    # path pass: each steps exactly the values of the forward stage that
+    # the backward layer also holds
+    branches = BRANCH_TABLES[kind]
+    rng = random.Random(36)
+    steps = []
+
+    def recorded(values, e, moves):
+        steps.append(set(values))
+        return dict_step(values, e, moves)
+
+    dict_step = _sweep._dict_step
+    monkeypatch.setattr(_sweep, "_dict_step", recorded)
+    for _ in range(40):
+        m = rng.randint(2, 9)
+        addends = [rng.choice((-1, 1)) * rng.randint(10**6, 10**9) for _ in range(m)]
+        split = m // 2
+        final = 0
+        for e in addends:
+            final = apply(rng.choice(branches), final, e)
+        forward = sweep(0, addends, branches)
+        backward = sweep(final, addends[split:][::-1], inverted(branches))[::-1]
+        steps.clear()
+        assert meet(0, final, addends, branches) == trace(forward, final)
+        assert len(steps) == 2 * m - split
+        for i, values in enumerate(steps[m:], start=split):
+            # values stepped from stage i; backward[i - split] is the layer
+            # of values that reach the final one from stage i
+            assert values == set(forward[i - 1]) & set(backward[i - split])
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
+def test_meet_builds_rows_in_both_halves(monkeypatch, kind):
+    branches = BRANCH_TABLES[kind]
+    addends = [1, 2, 3, 1, 2, 3, 1, 2]
+    stages = sweep(0, addends, branches)
+    seen = stage_representations(monkeypatch)
+    for final in list(stages[-1])[:20]:
+        seen.clear()
+        assert meet(0, final, addends, branches) == trace(stages, final)
+        # four forward rows, four backward rows, then the path pass's dicts
+        assert "".join(tag for tag, _ in seen) == "R" * 8 + "d" * 4
