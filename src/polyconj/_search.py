@@ -2,8 +2,10 @@
 
 A problem is an alphabet of ``(value, weight, flip)`` rows: picking
 ``value`` at coefficient k adds ``sign * weight * k`` to the sum and then
-multiplies ``sign`` (initially +1) by ``flip``.  ``first_match`` returns the
-lexicographically first value vector whose sum hits the target, or None.
+multiplies ``sign`` (initially +1) by ``flip``.  ``first_match`` sorts the
+rows by value (an alphabet lists them in the order the residual sweep of
+:mod:`polyconj.tssp` prefers) and returns the lexicographically first value
+vector whose sum hits the target, or None.
 
 The scan splits the vector (Horowitz and Sahni, J. ACM 1974).  The sums of
 every suffix over the last L coordinates, in lex order, form one numpy
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import SoundnessError
 
 SUBSET = ((0, 0, 1), (1, 1, 1))
-SIGNED = ((-1, -1, 1), (0, 0, 1), (1, 1, 1))
+SIGNED = ((0, 0, 1), (-1, -1, 1), (1, 1, 1))
 TWISTED = ((0, 0, 1), (1, 1, -1))
 
 _TABLE = 1 << 16
@@ -39,6 +41,7 @@ def first_match(
     evaluate: Callable[[tuple[int, ...]], int],
 ) -> tuple[int, ...] | None:
     """First value vector (lex order) over ``alphabet`` whose sum is target."""
+    alphabet = sorted(alphabet)
     n = len(coefficients)
     s = sum(abs(k) for k in coefficients)
     # every partial sum, twisted ones included, lies within +-s

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import _sweep
 from .generate import GenSpec, generate
-from .tssp import _RESIDUAL_BRANCHES, TsspInstance, residual_sweep, solve_tssp_dp, twisted_sum
+from .tssp import TsspInstance, _residual_branches, residual_sweep, solve_tssp_dp, twisted_sum
 
 SCALING_N = 10
 SCALING_SUMS = (10**3, 10**4, 10**5, 10**6)
@@ -96,8 +96,9 @@ def adversarial_rows(
     for bits in bit_lengths:
         inst = _adversarial_instance(rng, n, bits)
         seconds, states = _timed_sweep(inst, repeats=1)
+        branches = _residual_branches(TsspInstance.ALPHABET)
         start = time.perf_counter()
-        _sweep.meet(inst.target, 0, inst.coefficients, _RESIDUAL_BRANCHES)
+        _sweep.meet(inst.target, 0, inst.coefficients, branches)
         meet_seconds = time.perf_counter() - start
         rows.append(
             {

@@ -111,8 +111,7 @@ def decide_conjugate(
     ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int = 10**7
 ) -> bool:
     """Whether some w in G(n) satisfies w * u * w^{-1} = v."""
-    _check(ctx, u)
-    _check(ctx, v)
+    u, v = _check(ctx, u), _check(ctx, v)
     if u[1:] != v[1:]:
         return False
     if not _all_evens_even(ctx, u):
@@ -142,8 +141,7 @@ def search_conjugator(
     syllable whose exponent is bounded by |f_1| + |e_1|, or a 0/1 vector on
     the even generators.
     """
-    _check(ctx, u)
-    _check(ctx, v)
+    u, v = _check(ctx, u), _check(ctx, v)
     if u[1:] != v[1:]:
         return None
     if not _all_evens_even(ctx, u):
@@ -168,7 +166,6 @@ def verify_certificate(
     ctx: GroupContext, u: GroupElement, v: GroupElement, cert: Certificate
 ) -> bool:
     """True exactly when cert.w conjugates u onto v."""
-    _check(ctx, u)
-    _check(ctx, v)
+    u, v = _check(ctx, u), _check(ctx, v)
     _check(ctx, cert.w)
     return conjugate(ctx, cert.w, u) == v

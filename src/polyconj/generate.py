@@ -13,17 +13,12 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 from .group import conjugate, make_context
-from .reductions import ConjugacyInstance, SspInstance, SspPrimeInstance, subset_sum, signed_sum
-from .tssp import TsspInstance, twisted_sum
+from .reductions import ConjugacyInstance, SspInstance, SspPrimeInstance
+from .tssp import TsspInstance, _row_sum
 
-# Per subset-sum kind: the instance class, the sum a witness reaches, and
-# the least witness entry (solvable-bias witness entries are drawn from
-# [least, 1]).
-_SUBSET_KINDS = {
-    "ssp": (SspInstance, subset_sum, 0),
-    "sspp": (SspPrimeInstance, signed_sum, -1),
-    "tssp": (TsspInstance, twisted_sum, 0),
-}
+# The instance class of each subset-sum kind; its ALPHABET gives the values
+# a solvable-bias witness entry is drawn between and the sum it reaches.
+_SUBSET_KINDS = {"ssp": SspInstance, "sspp": SspPrimeInstance, "tssp": TsspInstance}
 GENERATABLE_KINDS = (*_SUBSET_KINDS, "conj")
 
 
@@ -67,10 +62,12 @@ def generate(spec: GenSpec):
         v[0] = rng.randint(-bound * (n + 1), bound * (n + 1))
         return ConjugacyInstance(ctx=ctx, u=u, v=tuple(v))
 
-    cls, value, least = _SUBSET_KINDS[spec.kind]
+    cls = _SUBSET_KINDS[spec.kind]
     coeffs = tuple(rng.randint(-bound, bound) for _ in range(n))
     if spec.solvable:
-        target = value(coeffs, tuple(rng.randint(least, 1) for _ in range(n)))
+        values = [row[0] for row in cls.ALPHABET]
+        witness = tuple(rng.randint(min(values), max(values)) for _ in range(n))
+        target = _row_sum(cls.ALPHABET, coeffs, witness)
     else:
         target = _unbiased_target(rng, coeffs)
     return cls(coefficients=coeffs, target=target)

@@ -49,6 +49,7 @@ not.  All functions are pure; contexts and elements are immutable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -76,9 +77,17 @@ def identity(ctx: GroupContext) -> GroupElement:
     return (0,) * ctx.hirsch
 
 
+def _integer(x) -> int:
+    """``x`` as a plain int; a float or other non-integer is refused, not truncated."""
+    try:
+        return int(operator.index(x))
+    except TypeError:
+        raise InvalidParameterError(f"expected an integer, got {x!r}") from None
+
+
 def make_element(ctx: GroupContext, exponents: Iterable[int]) -> GroupElement:
     """Validate and canonicalize an exponent sequence for ``ctx``."""
-    vec = tuple(int(k) for k in exponents)
+    vec = tuple(_integer(k) for k in exponents)
     if len(vec) != ctx.hirsch:
         raise InvalidElementError(
             f"expected {ctx.hirsch} exponents for G({ctx.n}), got {len(vec)}"
@@ -86,12 +95,14 @@ def make_element(ctx: GroupContext, exponents: Iterable[int]) -> GroupElement:
     return vec
 
 
-def _check(ctx: GroupContext, a: Sequence[int]) -> None:
+def _check(ctx: GroupContext, a: Sequence[int]) -> GroupElement:
+    """``a`` as a tuple, once its length is checked against ``ctx``."""
     if len(a) != ctx.hirsch:
         raise InvalidElementError(
             f"element of length {len(a)} does not belong to G({ctx.n}) "
             f"(expected {ctx.hirsch} exponents)"
         )
+    return tuple(a)
 
 
 def _even_parity(exps: Sequence[int], upto: int) -> int:

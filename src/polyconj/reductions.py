@@ -20,30 +20,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import _search, _sweep
-from .errors import (
-    InvalidParameterError,
-    InvalidPromiseError,
-    OracleTooLargeError,
-    SoundnessError,
-)
+from . import _search
+from .errors import InvalidParameterError, InvalidPromiseError, SoundnessError
 from .group import GroupContext, GroupElement, make_context
 from .tssp import Assignment, TsspInstance, _CoefficientInstance, twisted_sum
+from .tssp import _row_sum, _solve_brute, _solve_dp
 
 SspSubset = tuple[int, ...]
 SspPrimeSolution = tuple[int, ...]
-
-# Sweep branches (sign, weight) over partial sums: each adds weight * k_i.
-_SUBSET_BRANCHES = ((1, 0), (1, 1))
-_SIGNED_BRANCHES = ((1, 0), (1, -1), (1, 1))
 
 
 class SspInstance(_CoefficientInstance):
     """Subset sum: find bits x with sum(k_i * x_i) == target."""
 
+    ALPHABET = _search.SUBSET
+
 
 class SspPrimeInstance(_CoefficientInstance):
     """Signed subset sum: find values in {-1,0,1} with sum(k_i * x_i) == target."""
+
+    ALPHABET = _search.SIGNED
 
 
 @dataclass(frozen=True)
@@ -62,72 +58,35 @@ class ConjugacyInstance:
 
 
 def subset_sum(coefficients: Sequence[int], bits: Sequence[int]) -> int:
-    if len(bits) != len(coefficients):
-        raise InvalidParameterError(
-            f"subset vector has length {len(bits)}, expected {len(coefficients)}"
-        )
-    for x in bits:
-        if x not in (0, 1):
-            raise InvalidParameterError(f"subset entries must be 0 or 1, got {x!r}")
-    return sum(k * x for k, x in zip(coefficients, bits))
+    return _row_sum(SspInstance.ALPHABET, coefficients, bits)
 
 
 def signed_sum(coefficients: Sequence[int], values: Sequence[int]) -> int:
-    if len(values) != len(coefficients):
-        raise InvalidParameterError(
-            f"value vector has length {len(values)}, expected {len(coefficients)}"
-        )
-    for x in values:
-        if x not in (-1, 0, 1):
-            raise InvalidParameterError(f"values must be in {{-1,0,1}}, got {x!r}")
-    return sum(k * x for k, x in zip(coefficients, values))
+    return _row_sum(SspPrimeInstance.ALPHABET, coefficients, values)
 
 
 def solve_ssp_brute(inst: SspInstance, max_n: int = 25) -> SspSubset | None:
     """Lexicographically smallest solving subset by full enumeration."""
-    if inst.n > max_n:
-        raise OracleTooLargeError(
-            f"brute force over 2^{inst.n} subsets exceeds the cap n <= {max_n}"
-        )
-    return _search.first_match(
-        inst.coefficients, inst.target, _search.SUBSET,
-        lambda bits: subset_sum(inst.coefficients, bits),
-    )
+    return _solve_brute(inst, max_n)
 
 
 def solve_sspprime_brute(inst: SspPrimeInstance, max_n: int = 16) -> SspPrimeSolution | None:
     """Lexicographically smallest solving value vector by full enumeration."""
-    if inst.n > max_n:
-        raise OracleTooLargeError(
-            f"brute force over 3^{inst.n} vectors exceeds the cap n <= {max_n}"
-        )
-    return _search.first_match(
-        inst.coefficients, inst.target, _search.SIGNED,
-        lambda vals: signed_sum(inst.coefficients, vals),
-    )
+    return _solve_brute(inst, max_n)
 
 
 def solve_ssp_dp(inst: SspInstance, max_states: int = 10**7) -> SspSubset | None:
-    """A solving subset from the partial-sum sweep, preferring to skip the
+    """A solving subset from the residual sweep, preferring to skip the
     later coefficients."""
-    found = _sweep.reach(0, inst.target, inst.coefficients, _SUBSET_BRANCHES, max_states)
-    if found is not None and subset_sum(inst.coefficients, found) != inst.target:
-        raise SoundnessError("sweep back-trace produced a non-solving subset")
-    return found
+    return _solve_dp(inst, max_states)
 
 
 def solve_sspprime_dp(
     inst: SspPrimeInstance, max_states: int = 10**7
 ) -> SspPrimeSolution | None:
-    """A solving value vector from the signed partial-sum sweep, preferring
-    0, then -1, at the later coefficients."""
-    choices = _sweep.reach(0, inst.target, inst.coefficients, _SIGNED_BRANCHES, max_states)
-    if choices is None:
-        return None
-    found = tuple(_SIGNED_BRANCHES[c][1] for c in choices)
-    if signed_sum(inst.coefficients, found) != inst.target:
-        raise SoundnessError("sweep back-trace produced a non-solving value vector")
-    return found
+    """A solving value vector from the residual sweep, preferring 0, then
+    -1, at the later coefficients."""
+    return _solve_dp(inst, max_states)
 
 
 def ssp_to_sspprime(inst: SspInstance) -> SspPrimeInstance:

@@ -555,3 +555,11 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("tssp\n2\n")
+
+
+def test_target_past_the_coefficient_sum_exits_1(write, capsys):
+    # |M| > sum|k| has no solution; the sweep never starts, so no cap binds
+    coefficients = tuple((-1) ** i * (i % 11) for i in range(40))
+    path = write("far.tssp", TsspInstance(coefficients, 10**6))
+    code, out, err = run_cli(capsys, "solve", "tssp", path, "--max-states", "50")
+    assert (code, out, err) == (1, "", "")

@@ -257,3 +257,14 @@ class TestMeetAgainstFullSweep:
         for _ in range(300):
             ctx, u = random_all_even(rng, rng.randint(1, 6), 20)
             assert search_conjugator(ctx, u, u) == Certificate(identity(ctx))
+
+
+@pytest.mark.parametrize("u, v", [([0, 1, 0], (0, 1, 0)), ((0, 1, 0), [0, 1, 0]),
+                                  ([4, 2, 3], [4, 2, 3])],
+                         ids=["list-tuple", "tuple-list", "list-list"])
+def test_lists_and_tuples_compare_by_value(u, v):
+    # u ~ v by the identity whichever sequence type holds them
+    ctx = make_context(1)
+    assert decide_conjugate(ctx, u, v)
+    assert search_conjugator(ctx, u, v) == Certificate(identity(ctx))
+    assert verify_certificate(ctx, u, v, Certificate(identity(ctx)))
