@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -159,7 +159,9 @@ def _add_state_cap(p: argparse.ArgumentParser) -> None:
                    help="cap on the states the reachability sweep may touch (default 10^7)")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and reused by every later ``run``."""
     parser = argparse.ArgumentParser(
         prog="polyconj",
         description="Subset-sum variants, their reductions, and conjugacy in the groups G(n).",

@@ -66,40 +66,47 @@ KINDS = {
 _TAGS = {cls: tag for tag, cls in KINDS.items()}
 
 
+def _located(line: int, raw: str) -> list[tuple[int, int, str]]:
+    """The tokens of one row with their 1-based columns, for error reports."""
+    return [(line, m.start() + 1, m.group()) for m in _TOKEN.finditer(raw)]
+
+
 class _Cursor:
+    """The content rows of a document as ``(lineno, raw)``; tokens are located on demand."""
+
     def __init__(self, text: str):
-        self.rows: list[list[tuple[int, int, str]]] = []
+        self.rows: list[tuple[int, str]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             stripped = raw.lstrip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            row = [(lineno, m.start() + 1, m.group()) for m in _TOKEN.finditer(raw)]
-            self.rows.append(row)
+            if stripped and not stripped.startswith("#"):
+                self.rows.append((lineno, raw))
         self.pos = 0
-        self.last_line = self.rows[-1][0][0] if self.rows else 1
+        self.last_line = self.rows[-1][0] if self.rows else 1
 
-    def take_row(self, arity: int, what: str) -> list[tuple[int, int, str]]:
+    def take_row(self, arity: int, what: str) -> tuple[int, str, list[str]]:
+        """The next row's line, text and tokens; ``str.split`` cuts where ``\\S+`` does."""
         if self.pos >= len(self.rows):
             raise InstanceParseError(f"missing {what}", self.last_line + 1, 1)
-        row = self.rows[self.pos]
+        line, raw = self.rows[self.pos]
         self.pos += 1
-        if len(row) < arity:
-            line, col, tok = row[-1]
-            raise InstanceParseError(
-                f"{what}: expected {arity} values, found {len(row)}",
-                line,
-                col + len(tok),
-            )
-        if len(row) > arity:
-            line, col, _ = row[arity]
-            raise InstanceParseError(
-                f"{what}: expected {arity} values, found {len(row)}", line, col
-            )
-        return row
+        tokens = raw.split()
+        if len(tokens) != arity:
+            located = _located(line, raw)
+            message = f"{what}: expected {arity} values, found {len(tokens)}"
+            if len(tokens) < arity:
+                _, col, tok = located[-1]
+                raise InstanceParseError(message, line, col + len(tok))
+            raise InstanceParseError(message, line, located[arity][1])
+        return line, raw, tokens
+
+    def take_token(self, what: str) -> tuple[int, int, str]:
+        """The next row's single token with its position."""
+        line, raw, _ = self.take_row(1, what)
+        return _located(line, raw)[0]
 
     def finish(self) -> None:
         if self.pos < len(self.rows):
-            line, col, _ = self.rows[self.pos][0]
+            line, col, _ = _located(*self.rows[self.pos])[0]
             raise InstanceParseError("unexpected extra content", line, col)
 
 
@@ -115,19 +122,46 @@ def _to_int(token: tuple[int, int, str]) -> int:
         ) from None
 
 
-def _int_row(cursor: _Cursor, arity: int, what: str) -> tuple[int, ...]:
-    return tuple(_to_int(tok) for tok in cursor.take_row(arity, what))
+_SIGNS = frozenset((-1, 0, 1))
+
+
+def _int_row(cursor: _Cursor, arity: int, what: str, signs: bool = False) -> tuple[int, ...]:
+    """One row of ints; ``signs`` also holds each value to {-1, 0, 1}.
+
+    On an ASCII row without '_', ``int`` accepts a token exactly when ``_INT``
+    matches it, so one ``map`` reads the row.  Any other row, and any row with
+    a bad token, is scanned token by token, which returns the same values or
+    raises the first token's error with its line and column.
+    """
+    line, raw, tokens = cursor.take_row(arity, what)
+    if raw.isascii() and "_" not in raw:
+        try:
+            values = tuple(map(int, tokens))
+        except ValueError:
+            pass
+        else:
+            if not signs or _SIGNS.issuperset(values):
+                return values
+    values = []
+    for tok in _located(line, raw):
+        value = _to_int(tok)
+        if signs and value not in _SIGNS:
+            raise InstanceParseError(
+                f"solution entries must be -1, 0, or 1, found {value}", tok[0], tok[1]
+            )
+        values.append(value)
+    return tuple(values)
 
 
 def parse_instance(text: str) -> ParsedFile:
     """Parse one instance/certificate/solution document."""
     cursor = _Cursor(text)
-    line, col, kind = cursor.take_row(1, "kind tag")[0]
+    line, col, kind = cursor.take_token("kind tag")
     if kind not in KINDS:
         raise InstanceParseError(
             f"unknown kind {kind!r}, expected one of {', '.join(KINDS)}", line, col
         )
-    ntok = cursor.take_row(1, "size n")[0]
+    ntok = cursor.take_token("size n")
     n = _to_int(ntok)
     if n < 1:
         raise InstanceParseError(f"size n must be >= 1, got {n}", ntok[0], ntok[1])
@@ -149,22 +183,14 @@ def parse_instance(text: str) -> ParsedFile:
         cursor.finish()
         return CertificateFile(ctx=ctx, certificate=Certificate(w=w))
 
-    row = cursor.take_row(n, "solution row")
-    values = []
-    for tok in row:
-        value = _to_int(tok)
-        if value not in (-1, 0, 1):
-            raise InstanceParseError(
-                f"solution entries must be -1, 0, or 1, found {value}", tok[0], tok[1]
-            )
-        values.append(value)
+    values = _int_row(cursor, n, "solution row", signs=True)
     cursor.finish()
-    return SolutionFile(values=tuple(values))
+    return SolutionFile(values=values)
 
 
 def _ints(values) -> str:
     try:
-        return " ".join(str(v) for v in values)
+        return " ".join(map(str, values))
     except ValueError:
         raise InvalidParameterError(
             f"cannot write an integer of more than {sys.get_int_max_str_digits()} digits"
@@ -182,6 +208,8 @@ def serialize_instance(obj: ParsedFile) -> str:
         n, rows = obj.ctx.n, (obj.certificate.w,)
     elif kind == "sol":
         n, rows = len(obj.values), (obj.values,)
+        if n < 1 or not {"-1", "0", "1"}.issuperset(map(str, obj.values)):  # what parses back
+            raise InvalidParameterError("a solution needs one or more entries, each -1, 0, or 1")
     else:
         n, rows = obj.n, (obj.coefficients, (obj.target,))
     return "\n".join((kind, str(n), *map(_ints, rows))) + "\n"

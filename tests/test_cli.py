@@ -29,6 +29,7 @@ from polyconj import (
     tssp_to_conjugacy,
     twisted_sum,
 )
+from polyconj import cli
 from polyconj.cli import run
 from polyconj.formats import CertificateFile, ConjugacyInstance, TsspInstance
 
@@ -555,6 +556,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("tssp\n2\n")
+
+
+def test_cached_parser_keeps_calls_independent(write, capsys):
+    # the argparse tree is built once per process; no option, default or
+    # error of one call may leak into the next, so every call gives the
+    # stdout and exit code it gives in a fresh process
+    ssp = write("i.ssp", SspInstance((3, 5, 7), 8))
+    tssp = write("i.tssp", TsspInstance((10**9, 10**9), 0))
+    conj = write("i.conj", ConjugacyInstance(make_context(1), (0, 0, 5), (-5, 0, 5)))
+    calls = [
+        (["solve", "ssp", "--search", ssp], 0),
+        (["solve", "ssp", ssp], 0),
+        (["solve", "tssp", tssp, "--max-states", "1"], 2),
+        (["solve", "tssp", tssp], 0),
+        (["frobnicate"], 2),
+        (["solve", "ssp", ssp], 0),
+        (["conj", "verify", conj], 2),
+        (["conj", "search", conj], 0),
+    ]
+    cli._build_parser.cache_clear()
+    for argv, expected in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "polyconj", *argv],
+                               capture_output=True, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout) == (expected, out), argv
 
 
 def test_target_past_the_coefficient_sum_exits_1(write, capsys):

@@ -1,10 +1,16 @@
+import re
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyconj import (
     CertificateFile,
     ConjugacyInstance,
     GenSpec,
     InstanceParseError,
+    InvalidParameterError,
     SolutionFile,
     SspInstance,
     TsspInstance,
@@ -14,6 +20,7 @@ from polyconj import (
     serialize_instance,
 )
 from polyconj.conjugacy import Certificate
+from polyconj.formats import _Cursor, _int_row
 
 
 class TestParse:
@@ -104,3 +111,66 @@ class TestRoundTrip:
     def test_serializer_rejects_unknown(self):
         with pytest.raises(TypeError):
             serialize_instance({"kind": "ssp"})
+
+    @pytest.mark.parametrize("values", [(), (1, 2), (0, -2), (1, 0, 5), (True, 0), (1.0,)])
+    def test_serializer_rejects_a_solution_that_would_not_parse(self, values):
+        # an empty row reads back as "size n must be >= 1", an entry outside
+        # {-1, 0, 1} as a domain error, and "True" or "1.0" as no integer,
+        # so none of them is written
+        with pytest.raises(InvalidParameterError):
+            serialize_instance(SolutionFile(values))
+
+
+def _reference_row(text: str, signs: bool):
+    """Per-token model of one row: the first content line of ``text``, its
+    \\S+ tokens at 1-based columns, [+-]?[0-9]+ then int() on each.
+    Returns the token count, the values, and the first bad token's
+    (message, line, column) or None."""
+    line, raw = next((i, s) for i, s in enumerate(text.splitlines(), start=1) if s.strip())
+    tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw)]
+    values = []
+    for token, col in tokens:
+        if not re.fullmatch(r"[+-]?[0-9]+", token):
+            return len(tokens), None, (f"expected an integer, found {token!r}", line, col)
+        try:
+            value = int(token)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            return len(tokens), None, (f"integer has more than {limit} digits", line, col)
+        if signs and value not in (-1, 0, 1):
+            message = f"solution entries must be -1, 0, or 1, found {value}"
+            return len(tokens), None, (message, line, col)
+        values.append(value)
+    return len(tokens), tuple(values), None
+
+
+_padded_int = st.builds(
+    lambda sign, zeros, k: sign + "0" * zeros + str(k),
+    st.sampled_from(["", "", "+", "-"]), st.integers(0, 3), st.integers(0, 10**30),
+)
+_row_token = st.one_of(
+    _padded_int,
+    st.sampled_from(["-1", "0", "1", "1_0", "_1", "1_", "١", "١٢", "1３", "３", "+", "-", "x",
+                     "9" * 4301]),
+)
+
+
+@given(
+    tokens=st.lists(_row_token, min_size=1, max_size=8),
+    seps=st.lists(st.sampled_from([" ", "\t", "\u3000", "\x1c", "  "]), min_size=9, max_size=9),
+    signs=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_row_parser_matches_a_per_token_reference(tokens, seps, signs):
+    # one split and one int map per row must read exactly what a positioned
+    # per-token scan reads, and fail on the same token with the same message
+    text = seps[0] + "".join(tok + sep for tok, sep in zip(tokens, seps[1:]))
+    arity, values, error = _reference_row(text, signs)
+    if error is None:
+        assert _int_row(_Cursor(text), arity, "row", signs=signs) == values
+        return
+    with pytest.raises(InstanceParseError) as err:
+        _int_row(_Cursor(text), arity, "row", signs=signs)
+    message, line, col = error
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line {line}, column {col}: {message}", line, col)
