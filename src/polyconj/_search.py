@@ -7,22 +7,20 @@ rows by value (an alphabet lists them in the order the residual sweep of
 :mod:`polyconj.tssp` prefers) and returns the lexicographically first value
 vector whose sum hits the target, or None.
 
-The scan splits the vector (Horowitz and Sahni, J. ACM 1974).  The sums of
-every suffix over the last L coordinates, in lex order, form one numpy
-table; the prefixes run in lex order in Python, and each compares the whole
-table against the residual it needs.  Every candidate is still compared, so
-the scan is an honest O(b^n) referee, and the first hit of the first prefix
-with one is the lex-first witness.  Sums past int64 fall back to a plain
-Python loop over the same candidate order.  Any table hit is re-verified
-with exact Python ints before it is returned.
+The scan splits the vector (Horowitz and Sahni, J. ACM 1974) and joins the
+halves by hash.  A dict maps the sum of every suffix over the last L
+coordinates (about half of them) to the lex-first suffix with that sum; the
+prefixes run in lex order, and each looks up the residual it needs once.
+The first prefix with a hit, completed by its lex-first suffix, is the
+lex-first witness.  The scan costs O(b^(n/2)) time and memory in exact
+Python ints, whatever their size, and no longer compares every candidate.
+Any hit is re-verified with ``evaluate`` before it is returned.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, count
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import SoundnessError
 
@@ -31,7 +29,6 @@ SIGNED = ((0, 0, 1), (-1, -1, 1), (1, 1, 1))
 TWISTED = ((0, 0, 1), (1, 1, -1))
 
 _TABLE = 1 << 16
-_INT64_SAFE = 1 << 62
 
 
 def first_match(
@@ -43,34 +40,46 @@ def first_match(
     """First value vector (lex order) over ``alphabet`` whose sum is target."""
     alphabet = sorted(alphabet)
     n = len(coefficients)
-    s = sum(abs(k) for k in coefficients)
-    # every partial sum, twisted ones included, lies within +-s
-    if abs(target) > s:
+    # every partial sum, twisted ones included, lies within +-sum|k|
+    if abs(target) > sum(abs(k) for k in coefficients):
         return None
-    if s >= _INT64_SAFE:
-        values = product([row[0] for row in alphabet], repeat=n)
-        return next((c for c in values if evaluate(c) == target), None)
 
     b = len(alphabet)
     depth = 0
-    while depth < n and b ** (depth + 1) <= _TABLE:
+    while 2 * depth < n and b ** (depth + 1) <= _TABLE:
         depth += 1
     split = n - depth
-    table = np.zeros(1, dtype=np.int64)
+    # the sums of every suffix, in lex order: entry i spells i in base b
+    table = [0]
     for k in reversed(coefficients[split:]):
-        table = np.concatenate([w * k + f * table for _, w, f in alphabet])
-
-    for prefix in product(alphabet, repeat=split):
-        v, sign = 0, 1
-        for k, (_, w, f) in zip(coefficients, prefix):
-            v += sign * w * k
-            sign *= f
-        hits = np.flatnonzero(table == (target - v) * sign)
-        if hits.size:
-            digits = np.unravel_index(int(hits[0]), (b,) * depth)
-            candidate = tuple(row[0] for row in prefix) + tuple(alphabet[d][0] for d in digits)
-            if evaluate(candidate) != target:
-                raise SoundnessError("split scan returned a vector that fails exact re-check")
-            return candidate
-    return None
-
+        table = [w * k + f * t for _, w, f in alphabet for t in table]
+    # filled from the back, so the lowest index of each sum is the one kept
+    first = dict(zip(reversed(table), range(len(table) - 1, -1, -1)))
+    # The sum a prefix needs from its suffix: a row (w, f) at k turns the
+    # need r into f * (r - w * k).  ``heads`` holds the needs after the first
+    # half of the prefix, and the rest of it maps a need r to s * r + d for
+    # each (s, d) of ``tails``; both in lex order, so one block per head
+    # runs the prefixes in lex order, and the scan stops at the first hit.
+    half = split // 2
+    heads = [target]
+    for k in coefficients[:half]:
+        heads = [f * (r - w * k) for r in heads for _, w, f in alphabet]
+    tails = [(1, 0)]
+    for k in coefficients[half:split]:
+        tails = [(f * s, f * (d - w * k)) for s, d in tails for _, w, f in alphabet]
+    for h, r in enumerate(heads):
+        block = [s * r + d for s, d in tails]
+        hit = next(compress(count(), map(first.__contains__, block)), None)
+        if hit is not None:
+            break
+    else:
+        return None
+    digits = []
+    for index, places in ((first[block[hit]], depth), (h * len(tails) + hit, split)):
+        for _ in range(places):
+            index, d = divmod(index, b)
+            digits.append(alphabet[d][0])
+    candidate = tuple(reversed(digits))
+    if evaluate(candidate) != target:
+        raise SoundnessError("split scan returned a vector that fails exact re-check")
+    return candidate

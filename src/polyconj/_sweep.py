@@ -32,38 +32,46 @@ the values that reach the final value.  It holds each stage in one of two
 forms (Pisinger, "Dynamic programming on the word RAM", Algorithmica 2003):
 
 * sparse, the dict step ``sweep`` takes, at a few hundred ns per value;
-* dense, a numpy bool row over the stage's value interval [lo, hi].  Each
-  branch maps [lo, hi] onto an interval whose ends are images of lo and
-  hi, both reachable, so every interval is exact and costs O(branches) to
-  track.  A step ORs one shifted slice of the previous row per branch,
-  reversed for sign -1, at a few ns per cell.  The offsets ``weight * e``
-  move lo, so values of any size stay Python ints and only the index
-  v - lo reaches numpy.
+* dense, a row: one Python int with bit j set when lo + j is reached,
+  over the stage's value interval [lo, hi], with its mirror, the int whose
+  bit j is set when hi - j is.  Each branch maps [lo, hi] onto an interval
+  whose ends are images of lo and hi, both reachable, so every interval is
+  exact and costs O(branches) to track.  A step ORs one shifted int per
+  branch: the row for sign +1, the mirror for sign -1, which reverses it,
+  so no bit reversal is ever computed.  Shifts and ORs run a machine word
+  at a time, at well under a ns per cell.  The offsets ``weight * e`` move
+  lo, so values of any size stay exact.
 
 A stage is dense when the stage before it holds at least one value per
-``_DENSE_RATIO`` (64) cells of the new interval and the dense rows of both
-halves stay within ``max_states`` cells (bytes) together; otherwise it is
-sparse, so one huge addend turns the stages after it back into dicts until
-they fill in again.  The cap counts the values of every F and B stage
-(``np.count_nonzero`` on a row) after each one, so both forms fail on the
-same inputs, at the same stage.
+``_DENSE_RATIO`` (128) cells of the new interval and the dense rows of both
+halves stay within ``max_states`` cells together (2 bits each, the row and
+its mirror); otherwise it is sparse, so one huge addend turns the stages
+after it back into dicts until they fill in again.  The cap counts the
+values of every F and B stage (``int.bit_count`` of a row) after each one,
+so both forms fail on the same inputs, at the same stage.
 
-The path pass keeps P_split, the values of B_split that F_split holds, and
-for i > split P_i, the values of B_i one dict step reaches from P_{i-1}.
-The back-trace tests membership only: from the final value it takes at
-each stage the lowest branch whose inverse ``s = sign * (t - weight * e)``
-lies in the stage before, among F_0 .. F_split, P_{split+1} .. P_m.  That
-is the back-pointer ``sweep`` stores, where the lowest branch that reaches
-a value wins; past the split too, since a value that steps to one on the
-way back reaches the final value, so it lies in P_{i-1} exactly when it
-lies in F_{i-1}.
+When split < m, the path pass keeps P_split, the values of B_split that
+F_split holds (a row where either is one), and for i > split P_i, the
+values of B_i that one step reaches from P_{i-1}.  Where B_i is a row, P_i
+is a row over the same cells: from a row P_{i-1} one shifted OR per branch
+and one AND with B_i, from a set P_{i-1} a dict step whose values are
+written into a row first.  Where B_i is a dict, P_i is the set of values a
+dict step reaches that B_i holds.  So no stage is tested value by value
+against a row.  The back-trace tests membership only: from the final
+value it takes at each stage the lowest branch whose inverse
+``s = sign * (t - weight * e)`` lies in the stage before, among
+F_0 .. F_split, P_{split+1} .. P_m, one shift of a row per test.  That is
+the back-pointer ``sweep`` stores, where the lowest branch that reaches a
+value wins; past the split too, since a value that steps to one on the way
+back reaches the final value, so it lies in P_{i-1} exactly when it lies
+in F_{i-1}.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+from operator import add
 from typing import Collection, Sequence
-
-import numpy as np
 
 from .errors import InvalidParameterError, StateLimitError
 
@@ -72,10 +80,14 @@ Stage = dict[int, tuple[int, int]]
 
 # ``_find`` holds a stage as a dense row when the stage before it has at
 # least one value per _DENSE_RATIO cells of the new row.  On a 2-core VM a
-# dict step costs 280-620 ns per value and a row step 1-4 ns per cell plus
-# about 7 us: rows break even at roughly 75-600 cells per value, so at 64 a
-# row is chosen only where it is the cheaper step.
-_DENSE_RATIO = 64
+# dict step costs 150-600 ns per value (up to 1.3 us past 10^4 values); a
+# row step with its count 0.2-0.4 ns per cell plus 1-2 us, and turning a
+# sparse dict into a row or back 2-6 ns per cell.  Steps alone break even
+# at 400-3000 cells per value.  At 128 rather than 64, generated instances
+# of 12-60 coefficients up to 5 * 10^4 solve about 10% faster, and a few
+# values that one large addend spreads over a wide interval (7 over 1007
+# cells) still stay a dict.
+_DENSE_RATIO = 128
 
 
 def _require_positive_cap(max_states: int) -> None:
@@ -154,40 +166,121 @@ def trace(stages: Sequence[Stage], final: int) -> tuple[int, ...] | None:
     return tuple(reversed(choices))
 
 
-def _row(stage: Collection[int] | np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``stage`` as a bool row over [lo, hi]."""
-    if isinstance(stage, np.ndarray):
+class _Row:
+    """A dense stage over [lo, hi], width = hi - lo + 1 cells: bit j of
+    ``bits`` is set when lo + j is reached, bit j of ``mirror`` when hi - j
+    is."""
+
+    __slots__ = ("bits", "mirror", "width")
+
+    def __init__(self, bits: int, mirror: int, width: int):
+        self.bits, self.mirror, self.width = bits, mirror, width
+
+    def __len__(self) -> int:
+        return self.width
+
+    def __and__(self, other: _Row) -> _Row:
+        """The cells both rows set, ``other`` over the same interval."""
+        return _Row(self.bits & other.bits, self.mirror & other.mirror, self.width)
+
+    def __getitem__(self, j: int) -> bool:
+        if not -self.width <= j < self.width:
+            raise IndexError("row index out of range")
+        return bool(self.bits >> j % self.width & 1)
+
+
+def _row(stage: Collection[int] | _Row, lo: int, hi: int) -> _Row:
+    """The values of ``stage`` that lie in [lo, hi], as a row over it; a
+    row is returned as it is."""
+    if isinstance(stage, _Row):
         return stage
-    row = np.zeros(hi - lo + 1, dtype=bool)
-    row[np.fromiter((v - lo for v in stage), dtype=np.int64, count=len(stage))] = True
-    return row
+    cells = bytearray(b"0") * (hi - lo + 1)
+    for v in stage:
+        if lo <= v <= hi:
+            cells[v - lo] = 49  # "1"
+    # the text read as binary puts cell 0 highest: that is the mirror
+    return _Row(int(cells[::-1], 2), int(cells, 2), len(cells))
 
 
-def _values(stage: Collection[int] | np.ndarray, lo: int) -> Collection[int]:
+def _values(stage: Collection[int] | _Row, lo: int) -> Collection[int]:
     """The values of ``stage``, as ints."""
-    if isinstance(stage, np.ndarray):
-        return [lo + j for j in np.flatnonzero(stage).tolist()]
+    if isinstance(stage, _Row):
+        # cell j at index j of the text; the run of 0s before each 1 is the
+        # gap to the value before it
+        gaps = map(len, bin(stage.bits)[:1:-1].split("1"))
+        return list(accumulate(map(add, gaps, repeat(1)), initial=lo - 1))[1:-1]
     return stage
 
 
-def _row_step(
-    prev: np.ndarray, lo: int, hi: int, new_lo: int, width: int, e: int,
-    branches: Sequence[Branch],
-) -> np.ndarray:
-    """The bool row over [new_lo, new_lo + width) after the row ``prev``
-    over [lo, hi] for addend ``e``: one shifted slice per branch, reversed
-    for sign -1.  Only offsets reach numpy, never the values themselves."""
-    row = np.zeros(width, dtype=bool)
+def _shifted(bits: int, by: int, width: int) -> int:
+    """``bits`` moved up by ``by`` cells (down for by < 0); 0 when every
+    cell lands past ``width``, however far."""
+    if by >= width:
+        return 0
+    return bits << by if by >= 0 else bits >> -by
+
+
+def _stepped(
+    prev: _Row, lo: int, new_lo: int, width: int, e: int, branches: Sequence[Branch]
+) -> _Row:
+    """Every branch's image of the row ``prev`` over [lo, ...] for addend
+    ``e``, as a row over [new_lo, new_lo + width): one shifted int per
+    branch, the bits for sign +1, the mirror for sign -1.  Images below
+    new_lo are dropped; those above it may stay, for an ``&`` to mask."""
+    hi, new_hi = lo + prev.width - 1, new_lo + width - 1
+    bits = mirror = 0
     for sign, weight in branches:
-        # the smallest image: lo + weight*e, or weight*e - hi for sign -1
-        at = (lo if sign > 0 else -hi) + weight * e - new_lo
-        row[at:at + len(prev)] |= prev if sign > 0 else prev[::-1]
-    return row
+        off = weight * e
+        if sign > 0:  # s -> s + off
+            bits |= _shifted(prev.bits, lo + off - new_lo, width)
+            mirror |= _shifted(prev.mirror, new_hi - hi - off, width)
+        else:  # s -> off - s: the row and its mirror trade places
+            bits |= _shifted(prev.mirror, off - hi - new_lo, width)
+            mirror |= _shifted(prev.bits, new_hi - off + lo, width)
+    return _Row(bits, mirror, width)
 
 
-def _holds(lo: int, stage: Collection[int] | np.ndarray, value: int) -> bool:
-    if isinstance(stage, np.ndarray):
-        return 0 <= value - lo < len(stage) and bool(stage[value - lo])
+def _row_step(
+    prev: _Row, lo: int, hi: int, new_lo: int, width: int, e: int,
+    branches: Sequence[Branch],
+) -> _Row:
+    """The row over [new_lo, new_lo + width) after the row ``prev`` over
+    [lo, hi] for addend ``e``; the new interval holds every image, so
+    nothing is left to mask."""
+    return _stepped(prev, lo, new_lo, width, e, branches)
+
+
+def _common(
+    lo: int, stage: Collection[int] | _Row, other_lo: int, other: Collection[int] | _Row
+) -> tuple[int, Collection[int] | _Row]:
+    """The values both stages hold, with the lo of their form: a row when
+    either stage is one, else a set."""
+    if not isinstance(stage, _Row):
+        lo, stage, other_lo, other = other_lo, other, lo, stage
+    if isinstance(other, _Row):  # the identity branch aligns the two rows
+        return lo, stage & _stepped(other, other_lo, lo, stage.width, 0, ((1, 0),))
+    if isinstance(stage, _Row):
+        return lo, stage & _row(other, lo, lo + stage.width - 1)
+    return lo, stage.keys() & other.keys()
+
+
+def _path_step(
+    path_lo: int, path: Collection[int] | _Row, e: int, branches: Sequence[Branch],
+    lo: int, stage: Collection[int] | _Row,
+) -> Collection[int] | _Row:
+    """The values of ``stage`` over [lo, ...] that one step reaches from
+    ``path``: a row when ``stage`` is one, one shifted OR and one AND when
+    ``path`` is one too, else a set."""
+    if not isinstance(stage, _Row):
+        return stage.keys() & _dict_step(_values(path, path_lo), e, branches).keys()
+    if isinstance(path, _Row):
+        return stage & _stepped(path, path_lo, lo, stage.width, e, branches)
+    return stage & _row(_dict_step(path, e, branches), lo, lo + stage.width - 1)
+
+
+def _holds(lo: int, stage: Collection[int] | _Row, value: int) -> bool:
+    if isinstance(stage, _Row):
+        return 0 <= value - lo < stage.width and bool(stage.bits >> (value - lo) & 1)
     return value in stage
 
 
@@ -201,7 +294,7 @@ def _find(
 ) -> tuple[int, ...] | None:
     """``trace(sweep(start, addends, branches), final)``, with stages 1 ..
     ``split`` swept forward from ``start`` and the rest backward from
-    ``final``; each stage a dict or a dense bool row."""
+    ``final``; each stage a dict or a dense bit row."""
     _require_positive_cap(max_states)
     m = len(addends)
     inverses = tuple((sign, -sign * weight) for sign, weight in branches)
@@ -210,7 +303,7 @@ def _find(
     for value, numbers, moves in ((start, range(1, split + 1), branches),
                                   (final, range(m, split, -1), inverses)):
         lo = hi = value
-        stage: Collection[int] | np.ndarray = (value,)
+        stage: Collection[int] | _Row = {value: None}
         count = 1
         layers = [(lo, stage)]
         for i in numbers:
@@ -222,7 +315,7 @@ def _find(
             width = new_hi - new_lo + 1
             if count * _DENSE_RATIO >= width and cells + width <= max_states:
                 stage = _row_step(_row(stage, lo, hi), lo, hi, new_lo, width, e, moves)
-                count = int(np.count_nonzero(stage))
+                count = stage.bits.bit_count()
                 cells += width
             else:
                 stage = _dict_step(_values(stage, lo), e, moves)
@@ -235,14 +328,14 @@ def _find(
     # held grows from F_0 .. F_split into the stages the back-trace reads;
     # backward[j] is B_{split + j}
     held, backward = halves[0], halves[1][::-1]
-    (f_lo, f_stage), (b_lo, b_stage) = held[-1], backward[0]
-    path: Collection[int] = {v for v in _values(b_stage, b_lo) if _holds(f_lo, f_stage, v)}
-    for i in range(split + 1, m + 1):
-        b_lo, b_stage = backward[i - split]
-        step = _dict_step(path, addends[i - 1], branches)
-        path = {t for t in step if _holds(b_lo, b_stage, t)}
-        held.append((b_lo, path))
-    if not path:
+    if split < m:  # at split m the back-trace reads F_m alone
+        path_lo, path = _common(*held[-1], *backward[0])
+        for i in range(split + 1, m + 1):
+            lo, stage = backward[i - split]
+            path = _path_step(path_lo, path, addends[i - 1], branches, lo, stage)
+            path_lo = lo
+            held.append((lo, path))
+    if not _holds(*held[-1], final):
         return None
     choices = []
     t = final
@@ -266,7 +359,7 @@ def reach(
     max_states: int = 10**7,
 ) -> tuple[int, ...] | None:
     """``trace(sweep(start, addends, branches, max_states), final)``, with
-    each stage held as a dict or as a dense bool row, whichever is cheaper.
+    each stage held as a dict or as a dense bit row, whichever is cheaper.
 
     Raises the StateLimitError ``sweep`` raises, at the same stage: the cap
     counts reachable values in either representation.

@@ -92,7 +92,11 @@ class _Cursor:
         tokens = raw.split()
         if len(tokens) != arity:
             located = _located(line, raw)
-            message = f"{what}: expected {arity} values, found {len(tokens)}"
+            try:
+                expected = str(arity)
+            except ValueError:  # 2n + 1 of a size n at the digit limit
+                expected = f"at least 10^{sys.get_int_max_str_digits()}"
+            message = f"{what}: expected {expected} values, found {len(tokens)}"
             if len(tokens) < arity:
                 _, col, tok = located[-1]
                 raise InstanceParseError(message, line, col + len(tok))

@@ -418,6 +418,13 @@ class TestErrorsAndUsage:
         code, out, err = run_cli(capsys, "solve", "ssp", str(big))
         assert code == 2 and out == "" and err.startswith("error: line 3, column 1:")
 
+    def test_group_size_at_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        # n parses, but a row of 2n + 1 values has a length past the limit
+        big = tmp_path / "big.conj"
+        big.write_text("conj\n" + "9" * sys.get_int_max_str_digits() + "\n0 0 0\n0 0 0\n")
+        code, out, err = run_cli(capsys, "conj", "decide", str(big))
+        assert code == 2 and out == "" and err.startswith("error: line 3, column 6:")
+
     def test_non_ascii_digits_are_a_parse_error(self, tmp_path, capsys):
         # int() reads Arabic-Indic and fullwidth digits, but the format is ASCII
         odd = tmp_path / "odd.ssp"
@@ -556,6 +563,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("tssp\n2\n")
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # numpy is a test dependency only, so no command pays for importing it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import polyconj.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cached_parser_keeps_calls_independent(write, capsys):

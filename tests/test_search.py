@@ -84,13 +84,11 @@ def test_signed_prefix_loop_at_the_shipped_size():
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-@pytest.mark.parametrize(
-    "high, table_path", [(1 << 61, True), ((1 << 61) + 1, False)], ids=["int64", "python"]
-)
-def test_each_side_of_the_int64_fallback(name, high, table_path):
-    # sum|k| is 2^62 - 1 (vectorized) or 2^62 (Python loop); (1, 1) is the
-    # only witness and the last candidate, so only the Python loop
-    # evaluates every vector first
+@pytest.mark.parametrize("high", [1 << 61, (1 << 61) + 1], ids=["int64", "python"])
+def test_each_side_of_the_int64_fallback(name, high):
+    # sum|k| is 2^62 - 1 or 2^62, each side of where sums leave int64; (1, 1)
+    # is the only witness and the last candidate, and on both sides only the
+    # hit is re-checked
     alphabet, evaluate, values, _ = PROBLEMS[name]
     coefficients = (high, (1 << 61) - 1)
     target = evaluate(coefficients, (1, 1))
@@ -101,4 +99,8 @@ def test_each_side_of_the_int64_fallback(name, high, table_path):
         return evaluate(coefficients, candidate)
 
     assert _search.first_match(coefficients, target, alphabet, recording) == (1, 1)
-    assert seen == ([(1, 1)] if table_path else list(product(values, repeat=2)))
+    assert seen == [(1, 1)]
+    # sums near 2^200 that collide: every reachable target and a missed one
+    wide = ((1 << 200) + 3, -(1 << 200), 3, (1 << 200) + 6, -(1 << 199))
+    for target in {evaluate(wide, image) for image in product(values, repeat=len(wide))} | {1}:
+        assert scan(wide, target, name) == first_by_product(wide, target, evaluate, values)

@@ -353,5 +353,42 @@ def test_meet_builds_rows_in_both_halves(monkeypatch, kind):
     for final in list(stages[-1])[:20]:
         seen.clear()
         assert meet(0, final, addends, branches) == trace(stages, final)
-        # four forward rows, four backward rows, then the path pass's dicts
-        assert "".join(tag for tag, _ in seen) == "R" * 8 + "d" * 4
+        # four forward rows and four backward rows; the path pass runs on
+        # the rows, and takes one dict step only onto B_8 = {final}
+        assert "".join(tag for tag, _ in seen) == "R" * 8 + "d"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(BRANCH_TABLES)),
+    m=st.integers(1, 30),
+    start=st.one_of(st.integers(-20, 20), st.integers(10**30 - 500, 10**30 + 500)),
+    cap=st.one_of(st.just(10**7), st.integers(1, 30000)),
+    data=st.data(),
+)
+def test_wide_rows_at_every_split_give_the_full_sweeps_trace(kind, m, start, cap, data):
+    # addends up to +-500 make rows of thousands of cells, and the path pass
+    # shifts them both ways; every split gives the full sweep's trace, or
+    # fails the cap at the stage its forward and backward counts pass it
+    branches = BRANCH_TABLES[kind]
+    addends = data.draw(st.lists(st.integers(-500, 500), min_size=m, max_size=m))
+    if data.draw(st.booleans()):
+        final = data.draw(st.sampled_from((start, -start))) + data.draw(st.integers(-3000, 3000))
+    else:
+        final = replayed_or_free_final(data, start, addends, branches)
+    stages = sweep(start, addends, branches)
+    expected = trace(stages, final)
+    forward = [len(stage) for stage in stages]
+    backward = [len(layer) for layer in sweep(final, addends[::-1], inverted(branches))]
+    for split in range(m + 1):
+        numbers = [*range(1, split + 1), *range(m, split, -1)]
+        held = itertools.accumulate(forward[:split] + backward[:m - split])
+        over = next((k for k, count in enumerate(held) if count > cap), None)
+        if over is None:
+            assert _sweep._find(start, final, addends, branches, cap, split) == expected
+        else:
+            with pytest.raises(StateLimitError) as caught:
+                _sweep._find(start, final, addends, branches, cap, split)
+            assert str(caught.value) == (
+                f"reachability sweep exceeded {cap} states at stage {numbers[over]} of {m}"
+            )
