@@ -46,9 +46,12 @@ A stage is dense when the stage before it holds at least one value per
 ``_DENSE_RATIO`` (128) cells of the new interval and the dense rows of both
 halves stay within ``max_states`` cells together (2 bits each, the row and
 its mirror); otherwise it is sparse, so one huge addend turns the stages
-after it back into dicts until they fill in again.  The cap counts the
-values of every F and B stage (``int.bit_count`` of a row) after each one,
-so both forms fail on the same inputs, at the same stage.
+after it back into dicts until they fill in again.  Either form is a
+collection of its values: a dict's keys, or a row, which carries its own lo
+and answers ``in`` with one cell, ``len`` with its bit count and iteration
+with its values in ascending order.  The cap counts the values of every F
+and B stage, its ``len``, after each one, so both forms fail on the same
+inputs, at the same stage.
 
 When split < m, the path pass keeps P_split, the values of B_split that
 F_split holds (a row where either is one), and for i > split P_i, the
@@ -57,7 +60,7 @@ is a row over the same cells: from a row P_{i-1} one shifted OR per branch
 and one AND with B_i, from a set P_{i-1} a dict step whose values are
 written into a row first.  Where B_i is a dict, P_i is the set of values a
 dict step reaches that B_i holds.  So no stage is tested value by value
-against a row.  The back-trace tests membership only: from the final
+against a row.  The back-trace asks ``s in stage`` only: from the final
 value it takes at each stage the lowest branch whose inverse
 ``s = sign * (t - weight * e)`` lies in the stage before, among
 F_0 .. F_split, P_{split+1} .. P_m, one shift of a row per test.  That is
@@ -71,7 +74,7 @@ from __future__ import annotations
 
 from itertools import accumulate, repeat
 from operator import add
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import InvalidParameterError, StateLimitError
 
@@ -169,27 +172,33 @@ def trace(stages: Sequence[Stage], final: int) -> tuple[int, ...] | None:
 class _Row:
     """A dense stage over [lo, hi], width = hi - lo + 1 cells: bit j of
     ``bits`` is set when lo + j is reached, bit j of ``mirror`` when hi - j
-    is."""
+    is.  As a collection it holds the values reached."""
 
-    __slots__ = ("bits", "mirror", "width")
+    __slots__ = ("lo", "bits", "mirror", "width")
 
-    def __init__(self, bits: int, mirror: int, width: int):
-        self.bits, self.mirror, self.width = bits, mirror, width
+    def __init__(self, lo: int, bits: int, mirror: int, width: int):
+        self.lo, self.bits, self.mirror, self.width = lo, bits, mirror, width
+
+    def __contains__(self, value: int) -> bool:
+        j = value - self.lo
+        return 0 <= j < self.width and bool(self.bits >> j & 1)
+
+    def __iter__(self) -> Iterator[int]:
+        """The values in ascending order."""
+        # cell j at index j of the text; the run of 0s before each 1 is the
+        # gap to the value before it
+        gaps = map(len, bin(self.bits)[:1:-1].split("1"))
+        return iter(list(accumulate(map(add, gaps, repeat(1)), initial=self.lo - 1))[1:-1])
 
     def __len__(self) -> int:
-        return self.width
+        return self.bits.bit_count()
 
     def __and__(self, other: _Row) -> _Row:
         """The cells both rows set, ``other`` over the same interval."""
-        return _Row(self.bits & other.bits, self.mirror & other.mirror, self.width)
-
-    def __getitem__(self, j: int) -> bool:
-        if not -self.width <= j < self.width:
-            raise IndexError("row index out of range")
-        return bool(self.bits >> j % self.width & 1)
+        return _Row(self.lo, self.bits & other.bits, self.mirror & other.mirror, self.width)
 
 
-def _row(stage: Collection[int] | _Row, lo: int, hi: int) -> _Row:
+def _row(stage: Collection[int], lo: int, hi: int) -> _Row:
     """The values of ``stage`` that lie in [lo, hi], as a row over it; a
     row is returned as it is."""
     if isinstance(stage, _Row):
@@ -199,17 +208,7 @@ def _row(stage: Collection[int] | _Row, lo: int, hi: int) -> _Row:
         if lo <= v <= hi:
             cells[v - lo] = 49  # "1"
     # the text read as binary puts cell 0 highest: that is the mirror
-    return _Row(int(cells[::-1], 2), int(cells, 2), len(cells))
-
-
-def _values(stage: Collection[int] | _Row, lo: int) -> Collection[int]:
-    """The values of ``stage``, as ints."""
-    if isinstance(stage, _Row):
-        # cell j at index j of the text; the run of 0s before each 1 is the
-        # gap to the value before it
-        gaps = map(len, bin(stage.bits)[:1:-1].split("1"))
-        return list(accumulate(map(add, gaps, repeat(1)), initial=lo - 1))[1:-1]
-    return stage
+    return _Row(lo, int(cells[::-1], 2), int(cells, 2), len(cells))
 
 
 def _shifted(bits: int, by: int, width: int) -> int:
@@ -220,13 +219,12 @@ def _shifted(bits: int, by: int, width: int) -> int:
     return bits << by if by >= 0 else bits >> -by
 
 
-def _stepped(
-    prev: _Row, lo: int, new_lo: int, width: int, e: int, branches: Sequence[Branch]
-) -> _Row:
-    """Every branch's image of the row ``prev`` over [lo, ...] for addend
-    ``e``, as a row over [new_lo, new_lo + width): one shifted int per
-    branch, the bits for sign +1, the mirror for sign -1.  Images below
-    new_lo are dropped; those above it may stay, for an ``&`` to mask."""
+def _stepped(prev: _Row, new_lo: int, width: int, e: int, branches: Sequence[Branch]) -> _Row:
+    """Every branch's image of the row ``prev`` for addend ``e``, as a row
+    over [new_lo, new_lo + width): one shifted int per branch, the bits for
+    sign +1, the mirror for sign -1.  Images below new_lo are dropped; those
+    above it may stay, for an ``&`` to mask."""
+    lo = prev.lo
     hi, new_hi = lo + prev.width - 1, new_lo + width - 1
     bits = mirror = 0
     for sign, weight in branches:
@@ -237,51 +235,39 @@ def _stepped(
         else:  # s -> off - s: the row and its mirror trade places
             bits |= _shifted(prev.mirror, off - hi - new_lo, width)
             mirror |= _shifted(prev.bits, new_hi - off + lo, width)
-    return _Row(bits, mirror, width)
+    return _Row(new_lo, bits, mirror, width)
 
 
-def _row_step(
-    prev: _Row, lo: int, hi: int, new_lo: int, width: int, e: int,
-    branches: Sequence[Branch],
-) -> _Row:
-    """The row over [new_lo, new_lo + width) after the row ``prev`` over
-    [lo, hi] for addend ``e``; the new interval holds every image, so
-    nothing is left to mask."""
-    return _stepped(prev, lo, new_lo, width, e, branches)
+def _row_step(prev: _Row, new_lo: int, width: int, e: int, branches: Sequence[Branch]) -> _Row:
+    """The row over [new_lo, new_lo + width) after the row ``prev`` for
+    addend ``e``; the new interval holds every image, so nothing is left to
+    mask."""
+    return _stepped(prev, new_lo, width, e, branches)
 
 
-def _common(
-    lo: int, stage: Collection[int] | _Row, other_lo: int, other: Collection[int] | _Row
-) -> tuple[int, Collection[int] | _Row]:
-    """The values both stages hold, with the lo of their form: a row when
-    either stage is one, else a set."""
+def _common(stage: Collection[int], other: Collection[int]) -> Collection[int]:
+    """The values both stages hold: a row when either stage is one, else a
+    set (the stages are dicts then)."""
     if not isinstance(stage, _Row):
-        lo, stage, other_lo, other = other_lo, other, lo, stage
+        stage, other = other, stage
     if isinstance(other, _Row):  # the identity branch aligns the two rows
-        return lo, stage & _stepped(other, other_lo, lo, stage.width, 0, ((1, 0),))
+        return stage & _stepped(other, stage.lo, stage.width, 0, ((1, 0),))
     if isinstance(stage, _Row):
-        return lo, stage & _row(other, lo, lo + stage.width - 1)
-    return lo, stage.keys() & other.keys()
+        return stage & _row(other, stage.lo, stage.lo + stage.width - 1)
+    return stage.keys() & other.keys()
 
 
 def _path_step(
-    path_lo: int, path: Collection[int] | _Row, e: int, branches: Sequence[Branch],
-    lo: int, stage: Collection[int] | _Row,
-) -> Collection[int] | _Row:
-    """The values of ``stage`` over [lo, ...] that one step reaches from
-    ``path``: a row when ``stage`` is one, one shifted OR and one AND when
-    ``path`` is one too, else a set."""
+    path: Collection[int], e: int, branches: Sequence[Branch], stage: Collection[int]
+) -> Collection[int]:
+    """The values of ``stage`` that one step reaches from ``path``: a row
+    when ``stage`` is one, one shifted OR and one AND when ``path`` is one
+    too, else a set (``stage`` is a dict then)."""
     if not isinstance(stage, _Row):
-        return stage.keys() & _dict_step(_values(path, path_lo), e, branches).keys()
+        return stage.keys() & _dict_step(list(path), e, branches).keys()
     if isinstance(path, _Row):
-        return stage & _stepped(path, path_lo, lo, stage.width, e, branches)
-    return stage & _row(_dict_step(path, e, branches), lo, lo + stage.width - 1)
-
-
-def _holds(lo: int, stage: Collection[int] | _Row, value: int) -> bool:
-    if isinstance(stage, _Row):
-        return 0 <= value - lo < stage.width and bool(stage.bits >> (value - lo) & 1)
-    return value in stage
+        return stage & _stepped(path, stage.lo, stage.width, e, branches)
+    return stage & _row(_dict_step(path, e, branches), stage.lo, stage.lo + stage.width - 1)
 
 
 def _find(
@@ -303,9 +289,9 @@ def _find(
     for value, numbers, moves in ((start, range(1, split + 1), branches),
                                   (final, range(m, split, -1), inverses)):
         lo = hi = value
-        stage: Collection[int] | _Row = {value: None}
+        stage: Collection[int] = {value: None}
         count = 1
-        layers = [(lo, stage)]
+        layers = [stage]
         for i in numbers:
             e = addends[i - 1]
             # each branch maps [lo, hi] onto an interval whose ends are images
@@ -314,37 +300,34 @@ def _find(
             new_lo, new_hi = min(ends), max(ends)
             width = new_hi - new_lo + 1
             if count * _DENSE_RATIO >= width and cells + width <= max_states:
-                stage = _row_step(_row(stage, lo, hi), lo, hi, new_lo, width, e, moves)
-                count = stage.bits.bit_count()
+                stage = _row_step(_row(stage, lo, hi), new_lo, width, e, moves)
                 cells += width
-            else:
-                stage = _dict_step(_values(stage, lo), e, moves)
-                count = len(stage)
+            else:  # a row is decoded once, not once per branch
+                stage = _dict_step(list(stage), e, moves)
+            count = len(stage)
             states += count
             _enforce_cap(states, max_states, i, m)
             lo, hi = new_lo, new_hi
-            layers.append((lo, stage))
+            layers.append(stage)
         halves.append(layers)
     # held grows from F_0 .. F_split into the stages the back-trace reads;
     # backward[j] is B_{split + j}
     held, backward = halves[0], halves[1][::-1]
     if split < m:  # at split m the back-trace reads F_m alone
-        path_lo, path = _common(*held[-1], *backward[0])
+        path = _common(held[-1], backward[0])
         for i in range(split + 1, m + 1):
-            lo, stage = backward[i - split]
-            path = _path_step(path_lo, path, addends[i - 1], branches, lo, stage)
-            path_lo = lo
-            held.append((lo, path))
-    if not _holds(*held[-1], final):
+            path = _path_step(path, addends[i - 1], branches, backward[i - split])
+            held.append(path)
+    if final not in held[-1]:
         return None
     choices = []
     t = final
     for i in range(m, 0, -1):
         e = addends[i - 1]
-        prev_lo, prev = held[i - 1]
+        prev = held[i - 1]
         for choice, (sign, weight) in enumerate(branches):
             s = sign * (t - weight * e)
-            if _holds(prev_lo, prev, s):
+            if s in prev:
                 break
         choices.append(choice)
         t = s

@@ -92,25 +92,19 @@ def solve_sspprime_dp(
 def ssp_to_sspprime(inst: SspInstance) -> SspPrimeInstance:
     """Fold the n constraints x_i + y_i = 1 into one signed-subset-sum equation.
 
-    Each step rewrites {LHS = T, x_i + y_i = 1} as x_i + y_i + 4*LHS = 4T + 1,
+    Each fold rewrites {LHS = T, x_i + y_i = 1} as x_i + y_i + 4*LHS = 4T + 1,
     which has the same solutions because 4(LHS - T) = 1 - x_i - y_i can only
-    be a multiple of 4 in [-1, 3], namely 0.  After all n merges the
+    be a multiple of 4 in [-1, 3], namely 0.  After all n folds the
     coefficient of x_i is 4^(n-i) + 4^n k_i, the coefficient of y_i is
-    4^(n-i), and the target is 4^n M + (4^n - 1)/3.  The y_i constraints
-    force every x_i into {0,1}, so the x-half of any solution solves the
-    original subset sum.
+    4^(n-i), and the target is 4^n M + (4^n - 1)/3; they are built from that
+    closed form directly.  The y_i constraints force every x_i into {0,1},
+    so the x-half of any solution solves the original subset sum.
     """
     n = inst.n
-    cx = list(inst.coefficients)
-    cy = [0] * n
-    target = inst.target
-    for i in range(n):
-        cx = [4 * c for c in cx]
-        cy = [4 * c for c in cy]
-        cx[i] += 1
-        cy[i] += 1
-        target = 4 * target + 1
-    return SspPrimeInstance(coefficients=tuple(cx) + tuple(cy), target=target)
+    scale = 4**n
+    cy = tuple(4 ** (n - i) for i in range(1, n + 1))
+    cx = tuple(y + scale * k for y, k in zip(cy, inst.coefficients))
+    return SspPrimeInstance(coefficients=cx + cy, target=scale * inst.target + (scale - 1) // 3)
 
 
 def push_ssp_solution_to_sspprime(bits: Sequence[int]) -> SspPrimeSolution:

@@ -443,6 +443,13 @@ class TestErrorsAndUsage:
         code, _, err = run_cli(capsys, "solve", "ssp", "/nonexistent/i.ssp")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [("solve", "ssp"), ("conj", "decide")])
+    def test_directory_is_an_os_error(self, tmp_path, capsys, command):
+        # reading a directory raises an OSError other than FileNotFoundError
+        code, out, err = run_cli(capsys, *command, str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 

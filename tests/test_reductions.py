@@ -103,6 +103,22 @@ def test_empty_coefficient_list_rejected(cls):
         cls((), 0)
 
 
+def fold_round_by_round(inst):
+    """ssp_to_sspprime as n folds of x_i + y_i = 1 into 4 * LHS, one round
+    at a time, rescaling every coefficient each round."""
+    n = inst.n
+    cx = list(inst.coefficients)
+    cy = [0] * n
+    target = inst.target
+    for i in range(n):
+        cx = [4 * c for c in cx]
+        cy = [4 * c for c in cy]
+        cx[i] += 1
+        cy[i] += 1
+        target = 4 * target + 1
+    return SspPrimeInstance(coefficients=tuple(cx) + tuple(cy), target=target)
+
+
 class TestSspToSspPrime:
     def test_single_coefficient(self):
         out = ssp_to_sspprime(SspInstance((7,), 7))
@@ -128,6 +144,15 @@ class TestSspToSspPrime:
                 assert out.coefficients[i] == 4 ** (n - 1 - i) + four_n * inst.coefficients[i]
                 assert out.coefficients[n + i] == 4 ** (n - 1 - i)
             assert out.target == four_n * inst.target + (four_n - 1) // 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coefficients=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40),
+        target=st.integers(-(10**31), 10**31),
+    )
+    def test_closed_form_equals_the_round_by_round_fold(self, coefficients, target):
+        inst = SspInstance(tuple(coefficients), target)
+        assert ssp_to_sspprime(inst) == fold_round_by_round(inst)
 
     def test_full_subset_is_always_mapped_solvable(self):
         rng = random.Random(32)

@@ -66,8 +66,9 @@ def test_first_match_is_the_first_product_hit(tables, name, data):
 
 
 def test_prefix_loop_at_the_shipped_size():
-    # n = 20 bits leave 16 coordinates to the table and 4 to the prefix loop;
-    # powers of two make (1, 1, 0, ..., 0) the only witness, in the last prefix
+    # n = 20 bits put 10 coordinates in the table and 10 in the prefix loop;
+    # powers of two make (1, 1, 0, ..., 0) the only witness, in the last
+    # quarter of the prefixes
     coefficients = tuple(1 << i for i in range(20))
     assert scan(coefficients, 3, "SUBSET") == (1, 1) + (0,) * 18
     # an odd target over even coefficients is unreached after all 2^20
@@ -75,7 +76,7 @@ def test_prefix_loop_at_the_shipped_size():
 
 
 def test_signed_prefix_loop_at_the_shipped_size():
-    # n = 11 signed leaves 10 coordinates to the table and 1 to the prefix loop
+    # n = 11 signed puts 6 coordinates in the table and 5 in the prefix loop
     coefficients = (7, 0, 3, -3, 5, 5, 1000, -1, 2, 9, 4)
     for target in (1, -1018, 1039, 1040):
         assert scan(coefficients, target, "SIGNED") == first_by_product(

@@ -160,7 +160,7 @@ def stage_representations(monkeypatch):
 
     def recorded(step, tag, *args):
         stage = step(*args)
-        seen.append((tag, len(stage)))
+        seen.append((tag, stage.width if tag == "R" else len(stage)))
         return stage
 
     for name, tag in (("_row_step", "R"), ("_dict_step", "d")):
@@ -203,10 +203,10 @@ def test_row_and_dict_steps_reach_the_same_values(kind):
         width = max(ends) - new_lo + 1
         if width > 1000:  # a sign -1 branch far from 0: reach keeps such stages as dicts
             continue
-        row = _sweep._row_step(_sweep._row(values, lo, hi), lo, hi, new_lo, width, e, branches)
+        row = _sweep._row_step(_sweep._row(values, lo, hi), new_lo, width, e, branches)
         table = _sweep._dict_step(values, e, branches)
-        assert row[0] and row[-1]
-        assert _sweep._values(row, new_lo) == sorted(table)
+        assert new_lo in row and new_lo + width - 1 in row
+        assert list(row) == sorted(table)
 
 
 def test_reach_state_cap_matches_the_sweep(monkeypatch):
@@ -356,6 +356,37 @@ def test_meet_builds_rows_in_both_halves(monkeypatch, kind):
         # four forward rows and four backward rows; the path pass runs on
         # the rows, and takes one dict step only onto B_8 = {final}
         assert "".join(tag for tag, _ in seen) == "R" * 8 + "d"
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
+def test_row_path_pass_holds_the_values_of_both_halves(monkeypatch, kind):
+    # P_split is F_split & B_split and each later P_i is F_i & B_i: a value
+    # of F_i on a path to the final value lies in B_i, and one of B_i that
+    # F_i holds is reached from P_{i-1}; the rows must not keep more
+    branches = BRANCH_TABLES[kind]
+    addends = [1, 2, 3, 1, 2, 3, 1, 2]
+    m = len(addends)
+    stages = sweep(0, addends, branches)
+    forward = [{0}] + [set(stage) for stage in stages]
+    paths = []
+
+    def recorded(step, *args):
+        path = step(*args)
+        paths.append(path)
+        return path
+
+    for name in ("_common", "_path_step"):
+        monkeypatch.setattr(_sweep, name, partial(recorded, getattr(_sweep, name)))
+    for final in sorted(forward[-1])[::3]:
+        layers = sweep(final, addends[::-1], inverted(branches))
+        backward = [set(layer) for layer in layers[::-1]] + [{final}]
+        for split in range(m):
+            paths.clear()
+            assert _sweep._find(0, final, addends, branches, 10**7, split) == trace(stages, final)
+            assert any(isinstance(path, _sweep._Row) for path in paths)
+            assert [set(path) for path in paths] == [
+                forward[i] & backward[i] for i in range(split, m + 1)
+            ]
 
 
 @settings(max_examples=100, deadline=None)
