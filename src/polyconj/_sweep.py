@@ -31,7 +31,7 @@ the branch ``(sign, -sign * weight)``), giving B_m = {final} .. B_split,
 the values that reach the final value.  It holds each stage in one of two
 forms (Pisinger, "Dynamic programming on the word RAM", Algorithmica 2003):
 
-* sparse, the dict step ``sweep`` takes, at a few hundred ns per value;
+* sparse, a set of its values, at about a hundred ns per value;
 * dense, a row: one Python int with bit j set when lo + j is reached,
   over the stage's value interval [lo, hi], with its mirror, the int whose
   bit j is set when hi - j is.  Each branch maps [lo, hi] onto an interval
@@ -46,28 +46,24 @@ A stage is dense when the stage before it holds at least one value per
 ``_DENSE_RATIO`` (128) cells of the new interval and the dense rows of both
 halves stay within ``max_states`` cells together (2 bits each, the row and
 its mirror); otherwise it is sparse, so one huge addend turns the stages
-after it back into dicts until they fill in again.  Either form is a
-collection of its values: a dict's keys, or a row, which carries its own lo
-and answers ``in`` with one cell, ``len`` with its bit count and iteration
-with its values in ascending order.  The cap counts the values of every F
-and B stage, its ``len``, after each one, so both forms fail on the same
-inputs, at the same stage.
+after it back into sets until they fill in again.  Either form is a
+collection of its values: a set, or a row, which carries its own lo and
+answers ``in`` with one cell, ``len`` with its bit count, iteration with its
+values in ascending order, and ``&`` with any stage as a row over its own
+cells.  The cap counts the values of every F and B stage, its ``len``,
+after each one, so both forms fail on the same inputs, at the same stage.
 
-When split < m, the path pass keeps P_split, the values of B_split that
-F_split holds (a row where either is one), and for i > split P_i, the
-values of B_i that one step reaches from P_{i-1}.  Where B_i is a row, P_i
-is a row over the same cells: from a row P_{i-1} one shifted OR per branch
-and one AND with B_i, from a set P_{i-1} a dict step whose values are
-written into a row first.  Where B_i is a dict, P_i is the set of values a
-dict step reaches that B_i holds.  So no stage is tested value by value
+When split < m, the path pass keeps P_split = F_split & B_split and, for
+i > split, P_i = B_i & the step from P_{i-1}: one shifted OR per branch
+where both are rows, else a set step.  So no stage is tested value by value
 against a row.  The back-trace asks ``s in stage`` only: from the final
 value it takes at each stage the lowest branch whose inverse
 ``s = sign * (t - weight * e)`` lies in the stage before, among
-F_0 .. F_split, P_{split+1} .. P_m, one shift of a row per test.  That is
-the back-pointer ``sweep`` stores, where the lowest branch that reaches a
-value wins; past the split too, since a value that steps to one on the way
-back reaches the final value, so it lies in P_{i-1} exactly when it lies
-in F_{i-1}.
+F_0 .. F_{split-1}, P_split .. P_m (F_0 .. F_m at split m), one shift of a
+row per test.  That is the back-pointer ``sweep`` stores, where the lowest
+branch that reaches a value wins; from the split on too, since a value that
+steps to one on the way back reaches the final value, so it lies in P_{i-1}
+exactly when it lies in F_{i-1}.
 """
 
 from __future__ import annotations
@@ -83,13 +79,12 @@ Stage = dict[int, tuple[int, int]]
 
 # ``_find`` holds a stage as a dense row when the stage before it has at
 # least one value per _DENSE_RATIO cells of the new row.  On a 2-core VM a
-# dict step costs 150-600 ns per value (up to 1.3 us past 10^4 values); a
-# row step with its count 0.2-0.4 ns per cell plus 1-2 us, and turning a
-# sparse dict into a row or back 2-6 ns per cell.  Steps alone break even
-# at 400-3000 cells per value.  At 128 rather than 64, generated instances
-# of 12-60 coefficients up to 5 * 10^4 solve about 10% faster, and a few
-# values that one large addend spreads over a wide interval (7 over 1007
-# cells) still stay a dict.
+# set step costs 85-170 ns per value; a row step with its count 0.2-0.4 ns
+# per cell plus 1-2 us, and turning a sparse stage into a row or back 2-6 ns
+# per cell.  Steps alone break even at 200-850 cells per value.  At 128
+# rather than 64, generated instances of 12-60 coefficients up to 5 * 10^4
+# solved about 10% faster with dict steps, and a few values that one large
+# addend spreads over a wide interval (7 over 1007 cells) still stay sparse.
 _DENSE_RATIO = 128
 
 
@@ -130,6 +125,20 @@ def _dict_step(values: Collection[int], e: int, branches: Sequence[Branch]) -> S
                 if t not in table:
                     table[t] = (s, choice)
     return table
+
+
+def _set_step(values: Collection[int], e: int, branches: Sequence[Branch]) -> set[int]:
+    """The values every branch reaches from ``values`` for addend ``e``."""
+    reached: set[int] = set()
+    for sign, weight in branches:
+        off = weight * e
+        if sign < 0:
+            reached.update([off - s for s in values])
+        elif off:
+            reached.update([s + off for s in values])
+        else:  # s + 0 copies every multi-digit int
+            reached.update(values)
+    return reached
 
 
 def sweep(
@@ -193,9 +202,15 @@ class _Row:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def __and__(self, other: _Row) -> _Row:
-        """The cells both rows set, ``other`` over the same interval."""
+    def __and__(self, other: Collection[int]) -> _Row:
+        """The values both stages hold, as a row over this one's cells; a
+        row on another interval is aligned by the identity step."""
+        if isinstance(other, _Row):
+            other = _stepped(other, self.lo, self.width, 0, ((1, 0),))
+        other = _row(other, self.lo, self.lo + self.width - 1)
         return _Row(self.lo, self.bits & other.bits, self.mirror & other.mirror, self.width)
+
+    __rand__ = __and__
 
 
 def _row(stage: Collection[int], lo: int, hi: int) -> _Row:
@@ -245,29 +260,22 @@ def _row_step(prev: _Row, new_lo: int, width: int, e: int, branches: Sequence[Br
     return _stepped(prev, new_lo, width, e, branches)
 
 
-def _common(stage: Collection[int], other: Collection[int]) -> Collection[int]:
-    """The values both stages hold: a row when either stage is one, else a
-    set (the stages are dicts then)."""
-    if not isinstance(stage, _Row):
-        stage, other = other, stage
-    if isinstance(other, _Row):  # the identity branch aligns the two rows
-        return stage & _stepped(other, stage.lo, stage.width, 0, ((1, 0),))
-    if isinstance(stage, _Row):
-        return stage & _row(other, stage.lo, stage.lo + stage.width - 1)
-    return stage.keys() & other.keys()
-
-
-def _path_step(
-    path: Collection[int], e: int, branches: Sequence[Branch], stage: Collection[int]
-) -> Collection[int]:
-    """The values of ``stage`` that one step reaches from ``path``: a row
-    when ``stage`` is one, one shifted OR and one AND when ``path`` is one
-    too, else a set (``stage`` is a dict then)."""
-    if not isinstance(stage, _Row):
-        return stage.keys() & _dict_step(list(path), e, branches).keys()
-    if isinstance(path, _Row):
-        return stage & _stepped(path, stage.lo, stage.width, e, branches)
-    return stage & _row(_dict_step(path, e, branches), stage.lo, stage.lo + stage.width - 1)
+def _path_pass(forward: list[Collection[int]], backward: list[Collection[int]],
+               addends: Sequence[int], branches: Sequence[Branch]) -> list[Collection[int]]:
+    """The stages the back-trace reads, from F_0 .. F_split in ``forward``
+    and B_split .. B_m in ``backward``: ``forward`` at split m, else F_0 ..
+    F_{split-1}, P_split .. P_m."""
+    if len(backward) == 1:
+        return forward
+    path = forward[-1] & backward[0]
+    held = [*forward[:-1], path]
+    for stage, e in zip(backward[1:], addends[len(forward) - 1:]):
+        if isinstance(path, _Row) and isinstance(stage, _Row):
+            path = stage & _stepped(path, stage.lo, stage.width, e, branches)
+        else:
+            path = stage & _set_step(list(path), e, branches)
+        held.append(path)
+    return held
 
 
 def _find(
@@ -280,7 +288,7 @@ def _find(
 ) -> tuple[int, ...] | None:
     """``trace(sweep(start, addends, branches), final)``, with stages 1 ..
     ``split`` swept forward from ``start`` and the rest backward from
-    ``final``; each stage a dict or a dense bit row."""
+    ``final``; each stage a set or a dense bit row."""
     _require_positive_cap(max_states)
     m = len(addends)
     inverses = tuple((sign, -sign * weight) for sign, weight in branches)
@@ -289,7 +297,7 @@ def _find(
     for value, numbers, moves in ((start, range(1, split + 1), branches),
                                   (final, range(m, split, -1), inverses)):
         lo = hi = value
-        stage: Collection[int] = {value: None}
+        stage: Collection[int] = {value}
         count = 1
         layers = [stage]
         for i in numbers:
@@ -303,21 +311,14 @@ def _find(
                 stage = _row_step(_row(stage, lo, hi), new_lo, width, e, moves)
                 cells += width
             else:  # a row is decoded once, not once per branch
-                stage = _dict_step(list(stage), e, moves)
+                stage = _set_step(list(stage), e, moves)
             count = len(stage)
             states += count
             _enforce_cap(states, max_states, i, m)
             lo, hi = new_lo, new_hi
             layers.append(stage)
         halves.append(layers)
-    # held grows from F_0 .. F_split into the stages the back-trace reads;
-    # backward[j] is B_{split + j}
-    held, backward = halves[0], halves[1][::-1]
-    if split < m:  # at split m the back-trace reads F_m alone
-        path = _common(held[-1], backward[0])
-        for i in range(split + 1, m + 1):
-            path = _path_step(path, addends[i - 1], branches, backward[i - split])
-            held.append(path)
+    held = _path_pass(halves[0], halves[1][::-1], addends, branches)
     if final not in held[-1]:
         return None
     choices = []
@@ -342,7 +343,7 @@ def reach(
     max_states: int = 10**7,
 ) -> tuple[int, ...] | None:
     """``trace(sweep(start, addends, branches, max_states), final)``, with
-    each stage held as a dict or as a dense bit row, whichever is cheaper.
+    each stage held as a set or as a dense bit row, whichever is cheaper.
 
     Raises the StateLimitError ``sweep`` raises, at the same stage: the cap
     counts reachable values in either representation.

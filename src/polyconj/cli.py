@@ -229,10 +229,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                 f"conj {args.action} takes one instance file, got extra {args.certificate!r}"
             )
         return args.func(args)
-    except PolyconjError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PolyconjError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

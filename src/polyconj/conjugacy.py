@@ -18,7 +18,7 @@ reference.  ``decide_conjugate`` and ``search_conjugator`` only ask whether
 one value, v's g_1 exponent f_1, is reached, so they meet in the middle
 with ``_sweep.meet``: forward from e_1 over the first half of the stages,
 backward from f_1 over the rest (both branches are their own inverses),
-each stage a dict or a dense row.  A path pass keeps the values on a way
+each stage a set or a dense row.  A path pass keeps the values on a way
 from e_1 to f_1, and the back-trace over them takes the lowest branch at
 every stage, so the certificate is the very one the full sweep would
 trace, at about the square root of its states.

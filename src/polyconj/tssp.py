@@ -15,9 +15,9 @@ into ``flip * t - flip * weight * k_i``.  From M, the instance is solvable
 exactly when residual 0 is reached after the last coefficient; a target
 past S = sum|k_i|, beyond every weighted sum, is refused unswept.  The
 sweep is polynomial in n * S but exponential in coefficient bit-length.
-``_sweep.reach`` holds dense stages as bit rows, well under a ns per
-residual in [lo, hi] instead of a dict entry per residual, and returns the
-dict sweep's back-trace, which prefers the rows listed first.
+``_sweep.reach`` holds sparse stages as sets and dense stages as bit rows,
+well under a ns per residual in [lo, hi], and returns the dict sweep's
+back-trace, which prefers the rows listed first.
 
 Through ``reductions.tssp_to_conjugacy`` an assignment becomes a conjugator
 in G(n), h = 2n + 1, and checking it with ``group.conjugate`` costs O(h)

@@ -16,8 +16,10 @@ from polyconj import (
     decide_conjugate,
     identity,
     make_context,
+    pullback_conjugacy_to_tssp,
     reachable_g1_values,
     search_conjugator,
+    solve_tssp_brute,
     solve_tssp_dp,
     tssp_to_conjugacy,
     twisted_sum,
@@ -231,6 +233,32 @@ class TestTsspCompleteness:
             if cert is not None:
                 assignment = conjugator_to_assignment(conj.ctx, cert.w)
                 assert twisted_sum(coeffs, assignment) == target
+
+
+@pytest.mark.parametrize("n, bits", [(24, 24), (28, 28), (30, 32)])
+def test_meet_matches_the_brute_referee_in_the_exponential_regime(n, bits):
+    # coefficients of about n bits spread the 2^n assignments apart, so the
+    # sweep's stages are sparse sets; the hash-join referee decides each
+    # image's TSSP instance on its own
+    rng = random.Random(50 + n)
+    answers = []
+    for solvable in (True, False, True, False):
+        coeffs = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(n))
+        if solvable:
+            target = twisted_sum(coeffs, tuple(rng.randint(0, 1) for _ in range(n)))
+        else:
+            target = rng.randint(-sum(map(abs, coeffs)), sum(map(abs, coeffs)))
+        inst = TsspInstance(coeffs, target)
+        expected = solve_tssp_brute(inst, max_n=32) is not None
+        conj = tssp_to_conjugacy(inst)
+        assert decide_conjugate(conj.ctx, conj.u, conj.v) == expected
+        cert = search_conjugator(conj.ctx, conj.u, conj.v)
+        assert (cert is not None) == expected
+        if cert is not None:
+            assert verify_certificate(conj.ctx, conj.u, conj.v, cert)
+            assert twisted_sum(coeffs, pullback_conjugacy_to_tssp(inst, cert.w)) == target
+        answers.append(expected)
+    assert answers == [True, False, True, False]
 
 
 class TestMeetAgainstFullSweep:

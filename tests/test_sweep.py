@@ -154,8 +154,8 @@ def test_reach_is_the_full_sweeps_trace(kind, addends, spike, start, data):
 
 
 def stage_representations(monkeypatch):
-    """Record, per stage, whether ``reach`` built a row (R) or a dict (d),
-    and the row's cells or the dict's values."""
+    """Record, per stage, whether ``reach`` built a row (R) or a set (d),
+    and the row's cells or the set's values."""
     seen = []
 
     def recorded(step, tag, *args):
@@ -163,7 +163,7 @@ def stage_representations(monkeypatch):
         seen.append((tag, stage.width if tag == "R" else len(stage)))
         return stage
 
-    for name, tag in (("_row_step", "R"), ("_dict_step", "d")):
+    for name, tag in (("_row_step", "R"), ("_set_step", "d")):
         monkeypatch.setattr(_sweep, name, partial(recorded, getattr(_sweep, name), tag))
     return seen
 
@@ -207,6 +207,39 @@ def test_row_and_dict_steps_reach_the_same_values(kind):
         table = _sweep._dict_step(values, e, branches)
         assert new_lo in row and new_lo + width - 1 in row
         assert list(row) == sorted(table)
+
+
+def drawn_row(lo, width, cells):
+    return _sweep._row({lo + j for j in cells if j < width}, lo, lo + width - 1)
+
+
+def assert_exact_row(row, values):
+    # the row holds exactly ``values``, and its mirror the same cells reversed
+    assert set(row) == values
+    assert row.mirror == _sweep._row(values, row.lo, row.lo + row.width - 1).mirror
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.one_of(st.integers(-20, 20), st.integers(10**30 - 500, 10**30 + 500)),
+    width=st.integers(1, 200),
+    cells=st.sets(st.integers(0, 199)),
+    # overlapping, disjoint and far-apart intervals; a far shift is 0
+    offset=st.one_of(st.integers(-250, 250), st.integers(-(10**30), 10**30)),
+    other_width=st.integers(1, 200),
+    other_cells=st.sets(st.integers(0, 199)),
+    loose=st.sets(st.integers(-250, 450)),
+)
+def test_and_of_two_stages_holds_the_values_both_hold(
+    lo, width, cells, offset, other_width, other_cells, loose
+):
+    row = drawn_row(lo, width, cells)
+    other = drawn_row(lo + offset, other_width, other_cells)
+    values = {lo + j for j in loose}
+    assert_exact_row(row & other, set(row) & set(other))
+    assert_exact_row(other & row, set(row) & set(other))
+    assert_exact_row(row & values, set(row) & values)
+    assert_exact_row(values & row, set(row) & values)
 
 
 def test_reach_state_cap_matches_the_sweep(monkeypatch):
@@ -313,7 +346,7 @@ def test_meet_cap_counts_forward_stages_and_backward_layers(monkeypatch, kind, a
 
 @pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
 def test_meet_path_pass_holds_only_values_on_a_path(monkeypatch, kind):
-    # huge addends keep every stage a dict, so the last dict steps are the
+    # huge addends keep every stage a set, so the last set steps are the
     # path pass: each steps exactly the values of the forward stage that
     # the backward layer also holds
     branches = BRANCH_TABLES[kind]
@@ -322,10 +355,10 @@ def test_meet_path_pass_holds_only_values_on_a_path(monkeypatch, kind):
 
     def recorded(values, e, moves):
         steps.append(set(values))
-        return dict_step(values, e, moves)
+        return set_step(values, e, moves)
 
-    dict_step = _sweep._dict_step
-    monkeypatch.setattr(_sweep, "_dict_step", recorded)
+    set_step = _sweep._set_step
+    monkeypatch.setattr(_sweep, "_set_step", recorded)
     for _ in range(40):
         m = rng.randint(2, 9)
         addends = [rng.choice((-1, 1)) * rng.randint(10**6, 10**9) for _ in range(m)]
@@ -354,7 +387,7 @@ def test_meet_builds_rows_in_both_halves(monkeypatch, kind):
         seen.clear()
         assert meet(0, final, addends, branches) == trace(stages, final)
         # four forward rows and four backward rows; the path pass runs on
-        # the rows, and takes one dict step only onto B_8 = {final}
+        # the rows, and takes one set step only onto B_8 = {final}
         assert "".join(tag for tag, _ in seen) == "R" * 8 + "d"
 
 
@@ -368,21 +401,22 @@ def test_row_path_pass_holds_the_values_of_both_halves(monkeypatch, kind):
     m = len(addends)
     stages = sweep(0, addends, branches)
     forward = [{0}] + [set(stage) for stage in stages]
-    paths = []
+    passes = []
 
-    def recorded(step, *args):
-        path = step(*args)
-        paths.append(path)
-        return path
+    def recorded(path_pass, *args):
+        held = path_pass(*args)
+        passes.append(held)
+        return held
 
-    for name in ("_common", "_path_step"):
-        monkeypatch.setattr(_sweep, name, partial(recorded, getattr(_sweep, name)))
+    monkeypatch.setattr(_sweep, "_path_pass", partial(recorded, _sweep._path_pass))
     for final in sorted(forward[-1])[::3]:
         layers = sweep(final, addends[::-1], inverted(branches))
         backward = [set(layer) for layer in layers[::-1]] + [{final}]
         for split in range(m):
-            paths.clear()
+            passes.clear()
             assert _sweep._find(0, final, addends, branches, 10**7, split) == trace(stages, final)
+            [held] = passes
+            paths = held[split:]  # P_split .. P_m
             assert any(isinstance(path, _sweep._Row) for path in paths)
             assert [set(path) for path in paths] == [
                 forward[i] & backward[i] for i in range(split, m + 1)
