@@ -34,24 +34,24 @@ forms (Pisinger, "Dynamic programming on the word RAM", Algorithmica 2003):
 * sparse, a set of its values, at about a hundred ns per value;
 * dense, a row: one Python int with bit j set when lo + j is reached,
   over the stage's value interval [lo, hi], with its mirror, the int whose
-  bit j is set when hi - j is.  Each branch maps [lo, hi] onto an interval
-  whose ends are images of lo and hi, both reachable, so every interval is
-  exact and costs O(branches) to track.  A step ORs one shifted int per
-  branch: the row for sign +1, the mirror for sign -1, which reverses it,
-  so no bit reversal is ever computed.  Shifts and ORs run a machine word
-  at a time, at well under a ns per cell.  The offsets ``weight * e`` move
-  lo, so values of any size stay exact.
+  bit j is set when hi - j is.  With off = weight * e, a branch maps
+  [lo, hi] onto [lo + off, hi + off] for sign +1 and [off - hi, off - lo]
+  for sign -1, both ends reachable, so every interval is exact and costs
+  O(branches) to track.  A step ORs one shifted int per branch: the row for
+  sign +1, the mirror for sign -1, which reverses it, so no bit reversal is
+  computed.  Shifts and ORs run a machine word at a time, at well under a
+  ns per cell.  The offsets move lo, so values of any size stay exact.
 
 A stage is dense when the stage before it holds at least one value per
 ``_DENSE_RATIO`` (128) cells of the new interval and the dense rows of both
 halves stay within ``max_states`` cells together (2 bits each, the row and
 its mirror); otherwise it is sparse, so one huge addend turns the stages
-after it back into sets until they fill in again.  Either form is a
-collection of its values: a set, or a row, which carries its own lo and
-answers ``in`` with one cell, ``len`` with its bit count, iteration with its
-values in ascending order, and ``&`` with any stage as a row over its own
-cells.  The cap counts the values of every F and B stage, its ``len``,
-after each one, so both forms fail on the same inputs, at the same stage.
+after it back into sets until they fill in again.  Either form holds its
+values: a set, or a row, which carries its own lo and answers ``in`` with
+one cell, iteration with its values in ascending order, and ``&`` with any
+stage as a row over its own cells.  The cap counts the values of every F
+and B stage after each one, a set's ``len`` or a row's bit count, so both
+forms fail at the same stage.
 
 When split < m, the path pass keeps P_split = F_split & B_split and, for
 i > split, P_i = B_i & the step from P_{i-1}: one shifted OR per branch
@@ -80,11 +80,12 @@ Stage = dict[int, tuple[int, int]]
 # ``_find`` holds a stage as a dense row when the stage before it has at
 # least one value per _DENSE_RATIO cells of the new row.  On a 2-core VM a
 # set step costs 85-170 ns per value; a row step with its count 0.2-0.4 ns
-# per cell plus 1-2 us, and turning a sparse stage into a row or back 2-6 ns
-# per cell.  Steps alone break even at 200-850 cells per value.  At 128
-# rather than 64, generated instances of 12-60 coefficients up to 5 * 10^4
-# solved about 10% faster with dict steps, and a few values that one large
-# addend spreads over a wide interval (7 over 1007 cells) still stay sparse.
+# per cell plus 1.0-1.2 us, and turning a sparse stage into a row or back
+# 2-6 ns per cell.  Steps alone break even at 200-850 cells per value.  At
+# 128 rather than 64, generated instances of 12-60 coefficients up to
+# 5 * 10^4 solved about 10% faster with dict steps, and a few values that
+# one large addend spreads over a wide interval (7 over 1007 cells) still
+# stay sparse.
 _DENSE_RATIO = 128
 
 
@@ -199,39 +200,26 @@ class _Row:
         gaps = map(len, bin(self.bits)[:1:-1].split("1"))
         return iter(list(accumulate(map(add, gaps, repeat(1)), initial=self.lo - 1))[1:-1])
 
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
     def __and__(self, other: Collection[int]) -> _Row:
         """The values both stages hold, as a row over this one's cells; a
         row on another interval is aligned by the identity step."""
         if isinstance(other, _Row):
             other = _stepped(other, self.lo, self.width, 0, ((1, 0),))
-        other = _row(other, self.lo, self.lo + self.width - 1)
+        else:
+            other = _row(other, self.lo, self.lo + self.width - 1)
         return _Row(self.lo, self.bits & other.bits, self.mirror & other.mirror, self.width)
 
     __rand__ = __and__
 
 
-def _row(stage: Collection[int], lo: int, hi: int) -> _Row:
-    """The values of ``stage`` that lie in [lo, hi], as a row over it; a
-    row is returned as it is."""
-    if isinstance(stage, _Row):
-        return stage
+def _row(values: Collection[int], lo: int, hi: int) -> _Row:
+    """The ``values`` that lie in [lo, hi], as a row over it."""
     cells = bytearray(b"0") * (hi - lo + 1)
-    for v in stage:
+    for v in values:
         if lo <= v <= hi:
             cells[v - lo] = 49  # "1"
     # the text read as binary puts cell 0 highest: that is the mirror
     return _Row(lo, int(cells[::-1], 2), int(cells, 2), len(cells))
-
-
-def _shifted(bits: int, by: int, width: int) -> int:
-    """``bits`` moved up by ``by`` cells (down for by < 0); 0 when every
-    cell lands past ``width``, however far."""
-    if by >= width:
-        return 0
-    return bits << by if by >= 0 else bits >> -by
 
 
 def _stepped(prev: _Row, new_lo: int, width: int, e: int, branches: Sequence[Branch]) -> _Row:
@@ -239,24 +227,27 @@ def _stepped(prev: _Row, new_lo: int, width: int, e: int, branches: Sequence[Bra
     over [new_lo, new_lo + width): one shifted int per branch, the bits for
     sign +1, the mirror for sign -1.  Images below new_lo are dropped; those
     above it may stay, for an ``&`` to mask."""
-    lo = prev.lo
-    hi, new_hi = lo + prev.width - 1, new_lo + width - 1
+    lo, prev_width = prev.lo, prev.width
     bits = mirror = 0
     for sign, weight in branches:
         off = weight * e
         if sign > 0:  # s -> s + off
-            bits |= _shifted(prev.bits, lo + off - new_lo, width)
-            mirror |= _shifted(prev.mirror, new_hi - hi - off, width)
+            by, up, down = lo + off - new_lo, prev.bits, prev.mirror
         else:  # s -> off - s: the row and its mirror trade places
-            bits |= _shifted(prev.mirror, off - hi - new_lo, width)
-            mirror |= _shifted(prev.bits, new_hi - off + lo, width)
+            by, up, down = off - lo - prev_width + 1 - new_lo, prev.mirror, prev.bits
+        # the bits move up ``by`` cells, the mirror width - prev_width - by;
+        # else no image lands on the new cells, however far off: an ``&``
+        # may align intervals 10^30 cells apart
+        if -prev_width < by < width:
+            bits |= up << by if by >= 0 else up >> -by
+            by = width - prev_width - by
+            mirror |= down << by if by >= 0 else down >> -by
     return _Row(new_lo, bits, mirror, width)
 
 
 def _row_step(prev: _Row, new_lo: int, width: int, e: int, branches: Sequence[Branch]) -> _Row:
     """The row over [new_lo, new_lo + width) after the row ``prev`` for
-    addend ``e``; the new interval holds every image, so nothing is left to
-    mask."""
+    addend ``e``; it holds every image, so nothing is left to mask."""
     return _stepped(prev, new_lo, width, e, branches)
 
 
@@ -302,19 +293,29 @@ def _find(
         layers = [stage]
         for i in numbers:
             e = addends[i - 1]
-            # each branch maps [lo, hi] onto an interval whose ends are images
-            # of lo and hi, both reachable, so the new interval is exact too
-            ends = [sign * v + weight * e for sign, weight in moves for v in (lo, hi)]
-            new_lo, new_hi = min(ends), max(ends)
+            # each branch maps [lo, hi] onto [low, low + hi - lo], whose ends
+            # are reachable images of lo and hi, so the new one is exact too
+            new_lo = top = None
+            for sign, weight in moves:
+                low = lo + weight * e if sign > 0 else weight * e - hi
+                if new_lo is None or low < new_lo:
+                    new_lo = low
+                if top is None or low > top:
+                    top = low
+            new_hi = top + hi - lo
             width = new_hi - new_lo + 1
             if count * _DENSE_RATIO >= width and cells + width <= max_states:
-                stage = _row_step(_row(stage, lo, hi), new_lo, width, e, moves)
+                if not isinstance(stage, _Row):
+                    stage = _row(stage, lo, hi)
+                stage = _row_step(stage, new_lo, width, e, moves)
                 cells += width
+                count = stage.bits.bit_count()
             else:  # a row is decoded once, not once per branch
                 stage = _set_step(list(stage), e, moves)
-            count = len(stage)
+                count = len(stage)
             states += count
-            _enforce_cap(states, max_states, i, m)
+            if states > max_states:
+                _enforce_cap(states, max_states, i, m)
             lo, hi = new_lo, new_hi
             layers.append(stage)
         halves.append(layers)
@@ -323,9 +324,7 @@ def _find(
         return None
     choices = []
     t = final
-    for i in range(m, 0, -1):
-        e = addends[i - 1]
-        prev = held[i - 1]
+    for e, prev in zip(reversed(addends), reversed(held[:-1])):
         for choice, (sign, weight) in enumerate(branches):
             s = sign * (t - weight * e)
             if s in prev:

@@ -75,6 +75,22 @@ def test_prefix_loop_at_the_shipped_size():
     assert scan(tuple(2 * k for k in coefficients), 7, "SUBSET") is None
 
 
+def test_suffix_table_holds_at_most_half_the_coordinates(monkeypatch):
+    # n = 20 bits: the table could hold 2^16 suffixes, but a table over more
+    # than half the coordinates only costs memory, so it holds 2^10 sums
+    sizes = []
+
+    def recording(pairs):
+        table = dict(pairs)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(_search, "dict", recording, raising=False)
+    coefficients = tuple(1 << i for i in range(20))
+    assert scan(coefficients, 3, "SUBSET") == (1, 1) + (0,) * 18
+    assert sizes == [2**10]
+
+
 def test_signed_prefix_loop_at_the_shipped_size():
     # n = 11 signed puts 6 coordinates in the table and 5 in the prefix loop
     coefficients = (7, 0, 3, -3, 5, 5, 1000, -1, 2, 9, 4)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from polyconj import InvalidParameterError, StateLimitError
 from polyconj import _sweep
 from polyconj._sweep import meet, reach, sweep, trace
+from polyconj.generate import GenSpec, generate
+from polyconj.tssp import _residual_branches
 
 # The branch tables of the four solvers: conjugacy, TSSP residuals, signed
 # and plain subset sum.
@@ -188,6 +190,25 @@ def test_stage_representation_follows_density(monkeypatch, kind, addends, patter
         seen.clear()
         assert reach(0, final, addends, branches) == trace(stages, final)
         assert re.fullmatch(pattern, "".join(tag for tag, _ in seen))
+
+
+def test_reach_at_the_benchmark_sizes(monkeypatch):
+    # generated instances of n = 100 and 200 with bound 10 and 20 make rows
+    # wider than a machine word; the first stage of a tssp residual sweep
+    # holds M and k_1 - M, far apart, so its first few stages may be sets
+    seen = stage_representations(monkeypatch)
+    answers = set()
+    sizes = itertools.product(("ssp", "sspp", "tssp"), (100, 200), (10, 20))
+    for index, (kind, n, bound) in enumerate(sizes):
+        inst = generate(GenSpec(kind, n, bound, seed=n + bound, solvable=index % 2 == 0))
+        branches = _residual_branches(inst.ALPHABET)
+        expected = trace(sweep(inst.target, inst.coefficients, branches), 0)
+        seen.clear()
+        assert reach(inst.target, 0, inst.coefficients, branches) == expected
+        tags = "".join(tag for tag, _ in seen)
+        assert len(tags) == n and re.fullmatch("d{0,8}R+", tags)
+        answers.add(expected is not None)
+    assert answers == {True, False}
 
 
 @pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))

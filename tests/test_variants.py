@@ -16,13 +16,17 @@ from polyconj import (
     make_context,
     make_element,
     signed_sum,
+    solve_ssp_brute,
     solve_ssp_dp,
+    solve_sspprime_brute,
     solve_sspprime_dp,
+    solve_tssp_brute,
     solve_tssp_dp,
     subset_sum,
     twisted_sum,
 )
 from polyconj._sweep import sweep, trace
+from polyconj.generate import GenSpec, generate
 
 
 def twisted_by_parity(coefficients, bits):
@@ -124,6 +128,36 @@ def test_target_past_the_coefficient_sum_is_refused_before_the_sweep(kind):
         solve(cls(coefficients, s), max_states=1)
     with pytest.raises(InvalidParameterError):
         solve(cls(coefficients, s + 1), max_states=0)
+
+
+# each variant's sweep solver, brute referee and sum
+REFEREED = {
+    "ssp": (solve_ssp_dp, solve_ssp_brute, subset_sum),
+    "sspp": (solve_sspprime_dp, solve_sspprime_brute, signed_sum),
+    "tssp": (solve_tssp_dp, solve_tssp_brute, twisted_sum),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, n, bound, unsolved_seed",
+    [
+        ("ssp", 24, 100, 3), ("ssp", 28, 1000, 3), ("ssp", 32, 10**4, 3),
+        ("sspp", 16, 100, 26), ("sspp", 18, 1000, 24), ("sspp", 20, 10**4, 30),
+        ("tssp", 24, 100, 2), ("tssp", 28, 1000, 2), ("tssp", 32, 10**4, 3),
+    ],
+)
+def test_sweep_solvers_match_the_brute_referee_around_its_size_cap(kind, n, bound, unsolved_seed):
+    # n around the referee's default cap (25, and 16 for sspp), passed with
+    # max_n; coefficients small enough that most stages are rows; the
+    # solvable seed 1 and the unbiased unsolved seed pin both answers, and
+    # every sweep witness is re-evaluated here
+    solve_dp, solve_brute, evaluate = REFEREED[kind]
+    for seed, solvable in ((1, True), (unsolved_seed, False)):
+        inst = generate(GenSpec(kind, n, bound, seed, solvable))
+        found = solve_dp(inst)
+        assert (found is not None) == (solve_brute(inst, max_n=32) is not None) == solvable
+        if found is not None:
+            assert evaluate(inst.coefficients, found) == inst.target
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "3", None, 1 + 0j])
