@@ -23,9 +23,10 @@ a Python call per state made the conjugacy sweep 10-20% slower.
 return ``trace(sweep(...), final)``.  Both are ``_find``, split at another
 stage: ``reach`` (the subset-sum solvers) at the last, ``meet`` (conjugacy)
 at the middle, so that each half holds about the square root of the values
-one full sweep would (Horowitz and Sahni, J. ACM 1974).  One stage builder
-runs forward from the start over stages 1 .. split, giving F_0 .. F_split,
-and backward from the final value over the rest with each branch inverted
+one full sweep would (Horowitz and Sahni, J. ACM 1974).  It runs in three
+phases.  First the stage builder ``_build`` runs forward from the start over
+stages 1 .. split, giving F_0 .. F_split, and again, on the budget that half
+left, backward from the final value over the rest with each branch inverted
 (``t = sign * s + weight * e`` gives ``s = sign * t - sign * weight * e``,
 the branch ``(sign, -sign * weight)``), giving B_m = {final} .. B_split,
 the values that reach the final value.  It holds each stage in one of two
@@ -53,11 +54,11 @@ stage as a row over its own cells.  The cap counts the values of every F
 and B stage after each one, a set's ``len`` or a row's bit count, so both
 forms fail at the same stage.
 
-When split < m, the path pass keeps P_split = F_split & B_split and, for
-i > split, P_i = B_i & the step from P_{i-1}: one shifted OR per branch
-where both are rows, else a set step.  So no stage is tested value by value
-against a row.  The back-trace asks ``s in stage`` only: from the final
-value it takes at each stage the lowest branch whose inverse
+Second, when split < m, ``_path_pass`` keeps P_split = F_split & B_split
+and, for i > split, P_i = B_i & the step from P_{i-1}: one shifted OR per
+branch where both are rows, else a set step.  So no stage is tested value by
+value against a row.  Last, the back-trace asks ``s in stage`` only: from
+the final value it takes at each stage the lowest branch whose inverse
 ``s = sign * (t - weight * e)`` lies in the stage before, among
 F_0 .. F_{split-1}, P_split .. P_m (F_0 .. F_m at split m), one shift of a
 row per test.  That is the back-pointer ``sweep`` stores, where the lowest
@@ -269,6 +270,48 @@ def _path_pass(forward: list[Collection[int]], backward: list[Collection[int]],
     return held
 
 
+def _build(value: int, numbers: Sequence[int], addends: Sequence[int],
+           moves: Sequence[Branch], max_states: int,
+           spent: tuple[int, int]) -> tuple[list[Collection[int]], tuple[int, int]]:
+    """The stages swept from ``value`` with ``moves`` over stages ``numbers``
+    (1-based, in the order taken), ``{value}`` first, and the (states, cells)
+    budget ``spent`` with theirs added."""
+    states, cells = spent
+    m = len(addends)
+    lo = hi = value
+    stage: Collection[int] = {value}
+    count = 1
+    layers = [stage]
+    for i in numbers:
+        e = addends[i - 1]
+        # each branch maps [lo, hi] onto [low, low + hi - lo], whose ends
+        # are reachable images of lo and hi, so the new one is exact too
+        new_lo = top = None
+        for sign, weight in moves:
+            low = lo + weight * e if sign > 0 else weight * e - hi
+            if new_lo is None or low < new_lo:
+                new_lo = low
+            if top is None or low > top:
+                top = low
+        new_hi = top + hi - lo
+        width = new_hi - new_lo + 1
+        if count * _DENSE_RATIO >= width and cells + width <= max_states:
+            if not isinstance(stage, _Row):
+                stage = _row(stage, lo, hi)
+            stage = _row_step(stage, new_lo, width, e, moves)
+            cells += width
+            count = stage.bits.bit_count()
+        else:  # a row is decoded once, not once per branch
+            stage = _set_step(list(stage), e, moves)
+            count = len(stage)
+        states += count
+        if states > max_states:
+            _enforce_cap(states, max_states, i, m)
+        lo, hi = new_lo, new_hi
+        layers.append(stage)
+    return layers, (states, cells)
+
+
 def _find(
     start: int,
     final: int,
@@ -283,43 +326,9 @@ def _find(
     _require_positive_cap(max_states)
     m = len(addends)
     inverses = tuple((sign, -sign * weight) for sign, weight in branches)
-    halves = []
-    states = cells = 0
-    for value, numbers, moves in ((start, range(1, split + 1), branches),
-                                  (final, range(m, split, -1), inverses)):
-        lo = hi = value
-        stage: Collection[int] = {value}
-        count = 1
-        layers = [stage]
-        for i in numbers:
-            e = addends[i - 1]
-            # each branch maps [lo, hi] onto [low, low + hi - lo], whose ends
-            # are reachable images of lo and hi, so the new one is exact too
-            new_lo = top = None
-            for sign, weight in moves:
-                low = lo + weight * e if sign > 0 else weight * e - hi
-                if new_lo is None or low < new_lo:
-                    new_lo = low
-                if top is None or low > top:
-                    top = low
-            new_hi = top + hi - lo
-            width = new_hi - new_lo + 1
-            if count * _DENSE_RATIO >= width and cells + width <= max_states:
-                if not isinstance(stage, _Row):
-                    stage = _row(stage, lo, hi)
-                stage = _row_step(stage, new_lo, width, e, moves)
-                cells += width
-                count = stage.bits.bit_count()
-            else:  # a row is decoded once, not once per branch
-                stage = _set_step(list(stage), e, moves)
-                count = len(stage)
-            states += count
-            if states > max_states:
-                _enforce_cap(states, max_states, i, m)
-            lo, hi = new_lo, new_hi
-            layers.append(stage)
-        halves.append(layers)
-    held = _path_pass(halves[0], halves[1][::-1], addends, branches)
+    forward, spent = _build(start, range(1, split + 1), addends, branches, max_states, (0, 0))
+    backward, _ = _build(final, range(m, split, -1), addends, inverses, max_states, spent)
+    held = _path_pass(forward, backward[::-1], addends, branches)
     if final not in held[-1]:
         return None
     choices = []

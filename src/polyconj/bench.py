@@ -64,20 +64,15 @@ def _timed_sweep(inst: TsspInstance, repeats: int) -> tuple[float, int]:
     return best, sum(len(stage) for stage in stages)
 
 
-def scaling_rows(
-    n: int = SCALING_N,
-    sums: Sequence[int] = SCALING_SUMS,
-    seed: int = 20250809,
-    repeats: int = 3,
-) -> list[dict]:
+def scaling_rows(seed: int = 20250809) -> list[dict]:
     rng = random.Random(seed)
     rows = []
-    for total in sums:
-        inst = _scaled_instance(rng, n, total)
-        seconds, states = _timed_sweep(inst, repeats)
+    for total in SCALING_SUMS:
+        inst = _scaled_instance(rng, SCALING_N, total)
+        seconds, states = _timed_sweep(inst, repeats=3)
         rows.append(
             {
-                "n": n,
+                "n": SCALING_N,
                 "S": total,
                 "seconds": seconds,
                 "states": states,
@@ -86,15 +81,11 @@ def scaling_rows(
     return rows
 
 
-def adversarial_rows(
-    n: int = ADVERSARIAL_N,
-    bit_lengths: Sequence[int] = ADVERSARIAL_BITS,
-    seed: int = 20250809,
-) -> list[dict]:
+def adversarial_rows(seed: int = 20250809) -> list[dict]:
     rng = random.Random(seed)
     rows = []
-    for bits in bit_lengths:
-        inst = _adversarial_instance(rng, n, bits)
+    for bits in ADVERSARIAL_BITS:
+        inst = _adversarial_instance(rng, ADVERSARIAL_N, bits)
         seconds, states = _timed_sweep(inst, repeats=1)
         branches = _residual_branches(TsspInstance.ALPHABET)
         start = time.perf_counter()
@@ -102,7 +93,7 @@ def adversarial_rows(
         meet_seconds = time.perf_counter() - start
         rows.append(
             {
-                "n": n,
+                "n": ADVERSARIAL_N,
                 "coefficient_bits": bits,
                 "S": inst.abs_sum,
                 "seconds": seconds,
@@ -113,15 +104,11 @@ def adversarial_rows(
     return rows
 
 
-def dense_rows(
-    ns: Sequence[int] = DENSE_NS,
-    bounds: Sequence[int] = DENSE_BOUNDS,
-    seed: int = 20250809,
-) -> list[dict]:
+def dense_rows(seed: int = 20250809) -> list[dict]:
     rng = random.Random(seed)
     rows = []
-    for n in ns:
-        for bound in bounds:
+    for n in DENSE_NS:
+        for bound in DENSE_BOUNDS:
             inst = generate(GenSpec("tssp", n, bound, rng.randrange(2**32), solvable=True))
             seconds, states = _timed_sweep(inst, repeats=1)
             start = time.perf_counter()
@@ -137,6 +124,17 @@ def dense_rows(
                 }
             )
     return rows
+
+
+# suite name -> (title, rows(seed), columns), in the order ``all`` prints them
+SUITES = {
+    "scaling": ("tssp sweep on unary-scaled instances (fixed n, growing S)",
+                scaling_rows, ("n", "S", "seconds", "states")),
+    "adversarial": ("tssp sweep on random coefficients of growing bit-length", adversarial_rows,
+                    ("n", "coefficient_bits", "S", "seconds", "states", "meet_seconds")),
+    "dense": ("tssp sweep and solver on small coefficients (pseudo-polynomial regime)",
+              dense_rows, ("n", "S", "states", "seconds", "dp_seconds")),
+}
 
 
 def format_table(rows: Sequence[dict], columns: Sequence[str]) -> str:

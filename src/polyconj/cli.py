@@ -126,21 +126,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.suite in ("scaling", "all"):
-        rows = bench_mod.scaling_rows(seed=args.seed)
-        print("tssp sweep on unary-scaled instances (fixed n, growing S)")
-        print(bench_mod.format_table(rows, ("n", "S", "seconds", "states")))
-        print()
-    if args.suite in ("adversarial", "all"):
-        rows = bench_mod.adversarial_rows(seed=args.seed)
-        print("tssp sweep on random coefficients of growing bit-length")
-        columns = ("n", "coefficient_bits", "S", "seconds", "states", "meet_seconds")
-        print(bench_mod.format_table(rows, columns))
-        print()
-    if args.suite in ("dense", "all"):
-        rows = bench_mod.dense_rows(seed=args.seed)
-        print("tssp sweep and solver on small coefficients (pseudo-polynomial regime)")
-        print(bench_mod.format_table(rows, ("n", "S", "states", "seconds", "dp_seconds")))
+    tables = []
+    for name in bench_mod.SUITES if args.suite == "all" else (args.suite,):
+        title, rows, columns = bench_mod.SUITES[name]
+        tables.append(f"{title}\n{bench_mod.format_table(rows(seed=args.seed), columns)}")
+    print("\n\n".join(tables))
     return 0
 
 
@@ -207,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="print solver scaling tables")
-    p.add_argument("--suite", choices=("scaling", "adversarial", "dense", "all"), default="all")
+    p.add_argument("--suite", choices=(*bench_mod.SUITES, "all"), default="all")
     p.add_argument("--seed", type=int, default=20250809)
     p.set_defaults(func=_cmd_bench)
 
@@ -231,6 +221,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (PolyconjError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from . import _sweep
 from .errors import NotAllEvenError, SoundnessError
-from .group import GroupContext, GroupElement, _check, _even_parity, conjugate
+from .group import GroupContext, GroupElement, _check, conjugate
 from .reductions import assignment_to_conjugator
 
 # Sweep branches (sign, weight): s -> s skips g_j, s -> -e - s uses it.
@@ -124,10 +124,8 @@ def _fast_path_certificate(ctx: GroupContext, u: GroupElement, v: GroupElement) 
     lower even neighbour carries an odd exponent."""
     for l in range(3, ctx.hirsch + 1, 2):
         if u[l - 2] & 1:
-            diff = v[0] - u[0]
-            k = -diff if _even_parity(u, l - 3) else diff
             w = [0] * ctx.hirsch
-            w[l - 1] = k
+            w[l - 1] = v[0] - u[0]
             return Certificate(w=tuple(w))
     raise AssertionError("fast path called without an odd even-coordinate")
 

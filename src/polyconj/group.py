@@ -105,16 +105,16 @@ def _check(ctx: GroupContext, a: Sequence[int]) -> GroupElement:
     return tuple(a)
 
 
-def _even_parity(exps: Sequence[int], upto: int) -> int:
-    """Parity of k_2 + k_4 + ... over even generator indices <= ``upto``."""
+def _even_parity(exps: Sequence[int]) -> int:
+    """Parity of k_2 + k_4 + ... over every even generator index."""
     p = 0
-    for t in range(1, upto, 2):
+    for t in range(1, len(exps), 2):
         p ^= exps[t] & 1
     return p
 
 
 def _even_parities(exps: Sequence[int]) -> list[int]:
-    """``_even_parity(exps, j)`` for every j = 0 .. len(exps), in one pass."""
+    """``_even_parity(exps[:j])`` for every j = 0 .. len(exps), in one pass."""
     parities = [0]
     for t, k in enumerate(exps):
         parities.append(parities[-1] ^ (k & 1) if t % 2 else parities[-1])
@@ -137,7 +137,7 @@ def multiply(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElemen
     h = ctx.hirsch
     e = list(a)
     if b[0]:
-        e[0] += -b[0] if _even_parity(e, h) else b[0]
+        e[0] += -b[0] if _even_parity(e) else b[0]
     parity = 0  # of the even exponents already appended, below g_{idx+1}
     for idx in range(1, h, 2):  # g_{idx+1} even, then g_{idx+2} odd
         c = b[idx]
@@ -163,7 +163,7 @@ def inverse(ctx: GroupContext, a: GroupElement) -> GroupElement:
     _check(ctx, a)
     h = ctx.hirsch
     g1 = -sum(a[idx + 1] for idx in range(1, h, 2) if a[idx] & 1)
-    g1 += a[0] if _even_parity(a, h) else -a[0]
+    g1 += a[0] if _even_parity(a) else -a[0]
     return (g1,) + tuple(-k for k in a[1:])
 
 

@@ -450,6 +450,17 @@ class TestErrorsAndUsage:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_out_of_memory_is_a_resource_error(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "decide_conjugate", exhausted)
+        inst = tmp_path / "i.conj"
+        inst.write_text("conj\n1\n0 0 0\n0 0 0\n")
+        code, out, err = run_cli(capsys, "conj", "decide", str(inst))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 

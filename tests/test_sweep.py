@@ -478,3 +478,37 @@ def test_wide_rows_at_every_split_give_the_full_sweeps_trace(kind, m, start, cap
             assert str(caught.value) == (
                 f"reachability sweep exceeded {cap} states at stage {numbers[over]} of {m}"
             )
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
+def test_build_holds_the_sweeps_stages_and_counts_the_budget(kind):
+    # small addends make rows, and a 10^9 spike turns the stages after it
+    # into sets; at every split each half holds exactly the sweep's values,
+    # and the budget adds up the values of every stage and the cells of
+    # every row, the forward half's carried into the backward half
+    branches = BRANCH_TABLES[kind]
+    rng = random.Random(37)
+    addends = [rng.randint(-6, 6) for _ in range(16)]
+    addends[7] = 10**9
+    m = len(addends)
+    final = 0
+    for e in addends:
+        final = apply(rng.choice(branches), final, e)
+    forms = set()
+    for split in range(m + 1):
+        forward, spent = _sweep._build(0, range(1, split + 1), addends, branches, 10**7, (0, 0))
+        backward, total = _sweep._build(
+            final, range(m, split, -1), addends, inverted(branches), 10**7, spent
+        )
+        assert [set(stage) for stage in forward] == [{0}] + [
+            set(stage) for stage in sweep(0, addends[:split], branches)
+        ]
+        assert [set(layer) for layer in backward] == [{final}] + [
+            set(layer) for layer in sweep(final, addends[split:][::-1], inverted(branches))
+        ]
+        for layers, budget in ((forward[1:], spent), (forward[1:] + backward[1:], total)):
+            rows = [stage for stage in layers if isinstance(stage, _sweep._Row)]
+            assert budget == (sum(len(set(stage)) for stage in layers),
+                              sum(row.width for row in rows))
+        forms.update(type(stage) for stage in forward[1:] + backward[1:])
+    assert forms == {set, _sweep._Row}
