@@ -16,8 +16,11 @@ stage first, (c_m, c_{m-1}, ..., c_1).
 
 Every branch is injective, so the first branch fills a fresh dict with no
 collisions and later branches only add values not already present.  The
-arithmetic is written out per sign rather than passed in as a function:
-a Python call per state made the conjugacy sweep 10-20% slower.
+arithmetic is written out per sign rather than passed in as a function, so
+no value costs a Python call.  The dict sweep serves the exhaustive
+references ``tssp.residual_sweep`` and ``conjugacy.reachable_g1_values``,
+which keep every stage, and the ``polyconj bench`` suites that time them;
+the solvers, decide and search run ``reach`` and ``meet`` instead.
 
 ``reach`` and ``meet`` answer the question for one known final value and
 return ``trace(sweep(...), final)``.  Both are ``_find``, split at another
@@ -246,10 +249,10 @@ def _stepped(prev: _Row, new_lo: int, width: int, e: int, branches: Sequence[Bra
     return _Row(new_lo, bits, mirror, width)
 
 
-def _row_step(prev: _Row, new_lo: int, width: int, e: int, branches: Sequence[Branch]) -> _Row:
-    """The row over [new_lo, new_lo + width) after the row ``prev`` for
-    addend ``e``; it holds every image, so nothing is left to mask."""
-    return _stepped(prev, new_lo, width, e, branches)
+# ``_build``'s dense stage step, looked up at call time under its own name so
+# that a test can record the stages it builds; ``_path_pass`` and ``&`` step
+# through ``_stepped`` and stay unrecorded
+_row_step = _stepped
 
 
 def _path_pass(forward: list[Collection[int]], backward: list[Collection[int]],

@@ -93,6 +93,7 @@ def reachable_g1_values(
     Requires every even coordinate of u to be even; otherwise the bit
     restriction is not exhaustive and the fast path applies instead.
     """
+    _sweep._require_positive_cap(max_states)
     _check(ctx, u)
     if not _all_evens_even(ctx, u):
         raise NotAllEvenError(
@@ -111,6 +112,7 @@ def decide_conjugate(
     ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int = 10**7
 ) -> bool:
     """Whether some w in G(n) satisfies w * u * w^{-1} = v."""
+    _sweep._require_positive_cap(max_states)
     u, v = _check(ctx, u), _check(ctx, v)
     if u[1:] != v[1:]:
         return False
@@ -139,6 +141,7 @@ def search_conjugator(
     syllable whose exponent is bounded by |f_1| + |e_1|, or a 0/1 vector on
     the even generators.
     """
+    _sweep._require_positive_cap(max_states)
     u, v = _check(ctx, u), _check(ctx, v)
     if u[1:] != v[1:]:
         return None

@@ -38,8 +38,9 @@ arithmetic in an actual group:
 Each operation costs O(h) integer operations, h = 2n + 1: the sign of a
 crossing is the parity of the even exponents to its left, which ``multiply``
 carries as a running parity, ``inverse`` needs only once (every earlier
-step sees zero lower exponents) and ``conjugate`` takes from prefix
-parities of u computed once, since no syllable changes a coordinate >= 2.
+step sees zero lower exponents) and ``conjugate`` carries as a running
+parity of u's exponents from the top down, since no syllable changes a
+coordinate >= 2.
 
 Identities that need associativity across rule-crossing products (for
 example (a*b)*c = a*(b*c) for arbitrary elements) can fail for n >= 2; the
@@ -105,22 +106,6 @@ def _check(ctx: GroupContext, a: Sequence[int]) -> GroupElement:
     return tuple(a)
 
 
-def _even_parity(exps: Sequence[int]) -> int:
-    """Parity of k_2 + k_4 + ... over every even generator index."""
-    p = 0
-    for t in range(1, len(exps), 2):
-        p ^= exps[t] & 1
-    return p
-
-
-def _even_parities(exps: Sequence[int]) -> list[int]:
-    """``_even_parity(exps[:j])`` for every j = 0 .. len(exps), in one pass."""
-    parities = [0]
-    for t, k in enumerate(exps):
-        parities.append(parities[-1] ^ (k & 1) if t % 2 else parities[-1])
-    return parities
-
-
 def multiply(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
     """Normal form of the product a * b.
 
@@ -137,7 +122,7 @@ def multiply(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElemen
     h = ctx.hirsch
     e = list(a)
     if b[0]:
-        e[0] += -b[0] if _even_parity(e) else b[0]
+        e[0] += -b[0] if sum(e[1::2]) & 1 else b[0]
     parity = 0  # of the even exponents already appended, below g_{idx+1}
     for idx in range(1, h, 2):  # g_{idx+1} even, then g_{idx+2} odd
         c = b[idx]
@@ -163,36 +148,8 @@ def inverse(ctx: GroupContext, a: GroupElement) -> GroupElement:
     _check(ctx, a)
     h = ctx.hirsch
     g1 = -sum(a[idx + 1] for idx in range(1, h, 2) if a[idx] & 1)
-    g1 += a[0] if _even_parity(a) else -a[0]
+    g1 += a[0] if sum(a[1::2]) & 1 else -a[0]
     return (g1,) + tuple(-k for k in a[1:])
-
-
-def _conjugate_syllable_inplace(e: list, i: int, k: int, parities: Sequence[int]) -> None:
-    """In place, replace ``e`` by the normal form of g_i^k * e * g_i^{-k};
-    ``parities`` is ``_even_parities(e)``, which this leaves unchanged.
-
-    Only the g_1 exponent can change:
-
-    * i == 1: the returning g_1^{-k} picks up sign (-1)^(sum of even
-      exponents), so e_1 gains k(1 - (-1)^sigma), i.e. 2k when sigma is odd.
-    * i even: e_1 becomes e_1(-1)^k + e_{i+1}(k mod 2)(-1)^(k_2+...+k_i+k).
-    * i odd > 1: e_1 gains k(e_{i-1} mod 2)(-1)^(k_2+...+k_{i-3}).
-    """
-    if k == 0:
-        return
-    if i == 1:
-        if parities[-1]:
-            e[0] += 2 * k
-    elif i % 2 == 0:
-        s = e[0] if k % 2 == 0 else -e[0]
-        if k & 1:
-            t = e[i]
-            if t:
-                s += -t if ((parities[i] + k) & 1) else t
-        e[0] = s
-    else:
-        if e[i - 2] & 1:
-            e[0] += -k if parities[i - 2] else k
 
 
 def conjugate_by_syllable(ctx: GroupContext, i: int, k: int, u: GroupElement) -> GroupElement:
@@ -201,10 +158,9 @@ def conjugate_by_syllable(ctx: GroupContext, i: int, k: int, u: GroupElement) ->
         raise InvalidParameterError(
             f"generator index {i!r} out of range 1..{ctx.hirsch}"
         )
-    _check(ctx, u)
-    e = list(u)
-    _conjugate_syllable_inplace(e, i, k, _even_parities(u))
-    return tuple(e)
+    w = [0] * ctx.hirsch
+    w[i - 1] = k
+    return conjugate(ctx, w, u)
 
 
 def conjugate(ctx: GroupContext, w: GroupElement, u: GroupElement) -> GroupElement:
@@ -212,23 +168,38 @@ def conjugate(ctx: GroupContext, w: GroupElement, u: GroupElement) -> GroupEleme
     syllables from the innermost conjugation outward (g_{2n+1} first, g_1
     last).
 
+    Conjugating e by g_i^k changes only the g_1 exponent e_1:
+
+    * i even: e_1 becomes e_1(-1)^k + e_{i+1}(k mod 2)(-1)^(k_2+...+k_i+k).
+    * i odd > 1: e_1 gains k(e_{i-1} mod 2)(-1)^(k_2+...+k_{i-3}).
+    * i == 1: the returning g_1^{-k} picks up sign (-1)^(sum of even
+      exponents), so e_1 gains k(1 - (-1)^sigma), i.e. 2k when sigma is odd.
+
     This is the canonical conjugation operation of the calculus: it
     preserves all coordinates >= 2, satisfies the twisted-sum identity the
     subset-sum reduction relies on, and costs time polynomial in the
-    exponent bit-lengths.  Since no syllable changes a coordinate >= 2, the
-    prefix parities of u's even exponents are computed once, so the
-    conjugation costs O(h) integer operations.
+    exponent bit-lengths.  Since no syllable changes a coordinate >= 2, one
+    loop from g_{2n+1} down applies every syllable to u's g_1 exponent,
+    carrying the parity of u's even exponents below it, so the conjugation
+    costs O(h) integer operations.
     """
     _check(ctx, w)
     _check(ctx, u)
-    h = ctx.hirsch
-    e = list(u)
-    parities = _even_parities(u)
-    for idx in range(h - 1, -1, -1):
+    e1 = u[0]
+    # parity of all of u's even exponents; p: of those up to g_{idx+1}
+    sigma = p = sum(u[1::2]) & 1
+    for idx in range(ctx.hirsch - 1, 0, -1):  # g_{idx+1}^k
         k = w[idx]
-        if k:
-            _conjugate_syllable_inplace(e, idx + 1, k, parities)
-    return tuple(e)
+        if idx % 2:  # i = idx + 1 even: an even k leaves e_1 as it is
+            if k & 1:
+                t = u[idx + 1]
+                e1 = (t if p else -t) - e1
+            p ^= u[idx] & 1
+        elif k and u[idx - 1] & 1:  # i = idx + 1 odd > 1
+            e1 += k if p else -k
+    if w[0] and sigma:
+        e1 += 2 * w[0]
+    return (e1, *u[1:])
 
 
 def bit_length(ctx: GroupContext, a: GroupElement) -> int:

@@ -6,6 +6,7 @@ import pytest
 from polyconj import (
     Certificate,
     InvalidElementError,
+    InvalidParameterError,
     NotAllEvenError,
     StateLimitError,
     TsspInstance,
@@ -110,6 +111,26 @@ class TestReachable:
         u = (0, 0, 11, 0, 23, 0, 47)
         with pytest.raises(StateLimitError):
             reachable_g1_values(ctx, u, max_states=3)
+
+
+@pytest.mark.parametrize("max_states", [0, -5])
+@pytest.mark.parametrize("entry", [decide_conjugate, search_conjugator])
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        ((0, 0, 5), (0, 0, 6)),  # upper coordinates differ: no sweep runs
+        ((0, 1, 0), (3, 1, 0)),  # an odd even coordinate: the fast path
+        ((0, 0, 5), (-5, 0, 5)),  # all evens even: the sweep
+    ],
+)
+def test_a_cap_below_one_is_refused_in_every_regime(entry, u, v, max_states):
+    with pytest.raises(InvalidParameterError):
+        entry(make_context(1), u, v, max_states=max_states)
+
+
+def test_reachable_checks_the_cap_before_the_coordinates():
+    with pytest.raises(InvalidParameterError):
+        reachable_g1_values(make_context(1), (0, 1, 0), max_states=0)
 
 
 class TestSearchAndVerify:
