@@ -9,8 +9,6 @@ conjugacy problem, with brute-force referees for everything.
 
 from .conjugacy import (
     Certificate,
-    ReachableSet,
-    ReachableStage,
     decide_conjugate,
     reachable_g1_values,
     search_conjugator,
@@ -90,8 +88,6 @@ __all__ = [
     "NotAllEvenError",
     "OracleTooLargeError",
     "PolyconjError",
-    "ReachableSet",
-    "ReachableStage",
     "SolutionFile",
     "SoundnessError",
     "SspInstance",

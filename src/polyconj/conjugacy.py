@@ -12,20 +12,20 @@ remain:
   to g_2, generator g_j maps a g_1 exponent s to s (skipped) or to
   -(s + e_{j+1}) (used), starting from e_1.
 
-``reachable_g1_values`` runs that sweep in full with the shared kernel of
-:mod:`polyconj._sweep` and keeps every stage; it is the exhaustive
-reference.  ``decide_conjugate`` and ``search_conjugator`` only ask whether
-one value, v's g_1 exponent f_1, is reached, so they meet in the middle
-with ``_sweep.meet``: forward from e_1 over the first half of the stages,
-backward from f_1 over the rest (both branches are their own inverses),
-each stage a set or a dense row.  A path pass keeps the values on a way
-from e_1 to f_1, and the back-trace over them takes the lowest branch at
-every stage, so the certificate is the very one the full sweep would
-trace, at about the square root of its states.
+``reachable_g1_values`` returns that sweep's stages, those of the shared
+kernel's ``_sweep.sweep``, one per generator g_{2n} .. g_2; it is the
+exhaustive reference.  ``decide_conjugate`` and ``search_conjugator`` share
+one dispatch, ``_conjugator``, which sorts (u, v) into a regime and only
+asks whether one value, v's g_1 exponent f_1, is reached: it meets in the
+middle with ``_sweep.meet``, forward from e_1 over the first half of the
+stages, backward from f_1 over the rest (both branches are their own
+inverses), each stage a set or a dense row.  The back-trace takes the
+lowest branch at every stage, so the certificate is the very one the full
+sweep would trace, at about the square root of its states.
 
 The same sweep solves TSSP, since ``tssp_to_conjugacy`` makes these g_1
-exponents the negated twisted sums.  Every certificate is re-verified
-before being returned.
+exponents the negated twisted sums.  Search re-verifies every certificate
+before returning it.
 """
 
 from __future__ import annotations
@@ -48,88 +48,53 @@ class Certificate:
     w: GroupElement
 
 
-@dataclass(frozen=True)
-class ReachableStage:
-    """One sweep step: generator index used, the odd exponent it drags in,
-    and value -> (predecessor value, bit) for every value reachable so far."""
-
-    generator_index: int
-    addend: int
-    table: dict[int, tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class ReachableSet:
-    """Reachable g_1 exponents, stage by stage from g_{2n} down to g_2."""
-
-    start: int
-    stages: tuple[ReachableStage, ...]
-
-    def final_values(self) -> frozenset[int]:
-        return frozenset(self.stages[-1].table)
-
-
-def _all_evens_even(ctx: GroupContext, u: GroupElement) -> bool:
-    return not any(u[t] & 1 for t in range(1, ctx.hirsch, 2))
-
-
-def _stage_indices(ctx: GroupContext) -> range:
-    """The sweep's generators g_j, j = 2n down to 2; g_j drags in e_{j+1} = u[j]."""
-    return range(2 * ctx.n, 0, -2)
-
-
-def _meet(ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int):
-    """Bits on g_{2n} .. g_2 (stage order) that take e_1 to f_1, or None."""
-    addends = [u[j] for j in _stage_indices(ctx)]
-    return _sweep.meet(u[0], v[0], addends, _BRANCHES, max_states)
-
-
 def reachable_g1_values(
     ctx: GroupContext, u: GroupElement, max_states: int = 10**7
-) -> ReachableSet:
+) -> list[_sweep.Stage]:
     """All g_1 exponents attainable by conjugating u with bit-exponent
-    products of even-indexed generators (innermost generator first).
+    products of even-indexed generators: the sweep's stages, g_{2n} first,
+    each mapping a value to (predecessor, bit); the last stage's keys are
+    the exponents.
 
     Requires every even coordinate of u to be even; otherwise the bit
     restriction is not exhaustive and the fast path applies instead.
     """
     _sweep._require_positive_cap(max_states)
     _check(ctx, u)
-    if not _all_evens_even(ctx, u):
+    if any(u[t] & 1 for t in range(1, ctx.hirsch, 2)):
         raise NotAllEvenError(
             "reachability sweep needs all even coordinates of u to be even"
         )
-    indices = _stage_indices(ctx)
-    tables = _sweep.sweep(u[0], [u[j] for j in indices], _BRANCHES, max_states)
-    stages = [
-        ReachableStage(generator_index=j, addend=u[j], table=table)
-        for j, table in zip(indices, tables)
-    ]
-    return ReachableSet(start=u[0], stages=tuple(stages))
+    return _sweep.sweep(u[0], u[:0:-2], _BRANCHES, max_states)
+
+
+def _conjugator(
+    ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int
+) -> GroupElement | None:
+    """An unverified w with w * u * w^{-1} = v, or None when there is none."""
+    _sweep._require_positive_cap(max_states)
+    u, v = _check(ctx, u), _check(ctx, v)
+    if u[1:] != v[1:]:
+        return None
+    # the fast path: one syllable of the smallest odd generator g_l whose
+    # lower even neighbour g_{l-1} carries an odd exponent
+    for l in range(3, ctx.hirsch + 1, 2):
+        if u[l - 2] & 1:
+            w = [0] * ctx.hirsch
+            w[l - 1] = v[0] - u[0]
+            return tuple(w)
+    # the stages, u[2n], u[2n-2], .., u[2], run from g_{2n} down to g_2
+    choices = _sweep.meet(u[0], v[0], u[:0:-2], _BRANCHES, max_states)
+    if choices is None:
+        return None
+    return assignment_to_conjugator(ctx, choices[::-1])
 
 
 def decide_conjugate(
     ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int = 10**7
 ) -> bool:
     """Whether some w in G(n) satisfies w * u * w^{-1} = v."""
-    _sweep._require_positive_cap(max_states)
-    u, v = _check(ctx, u), _check(ctx, v)
-    if u[1:] != v[1:]:
-        return False
-    if not _all_evens_even(ctx, u):
-        return True
-    return _meet(ctx, u, v, max_states) is not None
-
-
-def _fast_path_certificate(ctx: GroupContext, u: GroupElement, v: GroupElement) -> Certificate:
-    """Single-syllable conjugator using the smallest odd generator whose
-    lower even neighbour carries an odd exponent."""
-    for l in range(3, ctx.hirsch + 1, 2):
-        if u[l - 2] & 1:
-            w = [0] * ctx.hirsch
-            w[l - 1] = v[0] - u[0]
-            return Certificate(w=tuple(w))
-    raise AssertionError("fast path called without an odd even-coordinate")
+    return _conjugator(ctx, u, v, max_states) is not None
 
 
 def search_conjugator(
@@ -141,26 +106,12 @@ def search_conjugator(
     syllable whose exponent is bounded by |f_1| + |e_1|, or a 0/1 vector on
     the even generators.
     """
-    _sweep._require_positive_cap(max_states)
-    u, v = _check(ctx, u), _check(ctx, v)
-    if u[1:] != v[1:]:
+    w = _conjugator(ctx, u, v, max_states)
+    if w is None:
         return None
-    if not _all_evens_even(ctx, u):
-        cert = _fast_path_certificate(ctx, u, v)
-        return _verified(ctx, u, v, cert)
-
-    choices = _meet(ctx, u, v, max_states)
-    if choices is None:
-        return None
-    assignment = choices[::-1]  # the stages run from g_{2n} down to g_2
-    cert = Certificate(w=assignment_to_conjugator(ctx, assignment))
-    return _verified(ctx, u, v, cert)
-
-
-def _verified(ctx: GroupContext, u, v, cert: Certificate) -> Certificate:
-    if conjugate(ctx, cert.w, u) != v:
+    if conjugate(ctx, w, u) != tuple(v):
         raise SoundnessError("search produced a certificate that fails verification")
-    return cert
+    return Certificate(w=w)
 
 
 def verify_certificate(

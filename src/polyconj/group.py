@@ -159,7 +159,7 @@ def conjugate_by_syllable(ctx: GroupContext, i: int, k: int, u: GroupElement) ->
             f"generator index {i!r} out of range 1..{ctx.hirsch}"
         )
     w = [0] * ctx.hirsch
-    w[i - 1] = k
+    w[i - 1] = _integer(k)
     return conjugate(ctx, w, u)
 
 

@@ -77,6 +77,23 @@ class TestSolve:
         assert code == 0
         assert parse_instance(out).values == (1, 1, 0)
 
+    @pytest.mark.parametrize("solvable", [True, False], ids=["solvable", "unbiased"])
+    @pytest.mark.parametrize("bound", [3, 10, 100])
+    def test_ssp_search_prints_what_dp_prints(self, write, capsys, bound, solvable):
+        # the wrapper skips k_i exactly when the prefix still reaches the
+        # remaining target, which is the branch the dp back-trace prefers
+        # from residual 0, so any correct oracle gives dp's witness
+        from polyconj import GenSpec, generate
+
+        for seed in range(100):
+            n = 1 + seed % 14
+            path = write("i.ssp", generate(GenSpec("ssp", n, bound, seed=seed, solvable=solvable)))
+            expected = run_cli(capsys, "solve", "ssp", path, "--method", "dp")
+            assert run_cli(capsys, "solve", "ssp", path, "--search") == expected
+            if n <= 12:
+                assert run_cli(capsys, "solve", "ssp", path, "--method", "brute",
+                               "--search") == expected
+
     def test_search_rejected_for_tssp(self, write, capsys):
         path = write("i.tssp", TsspInstance((3, 5), -2))
         code, _, err = run_cli(capsys, "solve", "tssp", path, "--search")

@@ -96,6 +96,23 @@ class TestConjugateBySyllable:
         with pytest.raises(InvalidParameterError):
             conjugate_by_syllable(ctx_n(1), 0, 1, (0, 0, 0))
 
+    @pytest.mark.parametrize("k", [0.5, 1.5, 2.0, "1", None])
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_non_integer_exponent_is_refused(self, i, k):
+        # a float would slip into the g_1 exponent, and all arithmetic is
+        # exact only in Python ints
+        with pytest.raises(InvalidParameterError):
+            conjugate_by_syllable(ctx_n(2), i, k, (0, 1, 5, 0, 7))
+
+    @pytest.mark.parametrize("k", [False, True])
+    def test_bool_exponent_is_zero_or_one(self, k):
+        ctx = ctx_n(2)
+        u = (0, 1, 5, 0, 7)
+        for i in range(1, ctx.hirsch + 1):
+            got = conjugate_by_syllable(ctx, i, k, u)
+            assert got == conjugate_by_syllable(ctx, i, int(k), u)
+            assert all(type(x) is int for x in got)
+
     def test_matches_definitional_form(self):
         # the closed forms equal w*u*w^{-1} computed through multiply/inverse
         rng = random.Random(4)
