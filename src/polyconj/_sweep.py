@@ -92,6 +92,9 @@ Stage = dict[int, tuple[int, int]]
 # stay sparse.
 _DENSE_RATIO = 128
 
+# The default cap on the states a sweep may hold, shared by every solver and the CLI.
+MAX_STATES = 10**7
+
 
 def _require_positive_cap(max_states: int) -> None:
     if max_states < 1:
@@ -150,7 +153,7 @@ def sweep(
     start: int,
     addends: Sequence[int],
     branches: Sequence[Branch],
-    max_states: int = 10**7,
+    max_states: int = MAX_STATES,
 ) -> list[Stage]:
     """All values reachable from ``start``, stage by stage, with back-pointers.
 
@@ -351,7 +354,7 @@ def reach(
     final: int,
     addends: Sequence[int],
     branches: Sequence[Branch],
-    max_states: int = 10**7,
+    max_states: int = MAX_STATES,
 ) -> tuple[int, ...] | None:
     """``trace(sweep(start, addends, branches, max_states), final)``, with
     each stage held as a set or as a dense bit row, whichever is cheaper.
@@ -367,7 +370,7 @@ def meet(
     final: int,
     addends: Sequence[int],
     branches: Sequence[Branch],
-    max_states: int = 10**7,
+    max_states: int = MAX_STATES,
 ) -> tuple[int, ...] | None:
     """``trace(sweep(start, addends, branches), final)``, found by sweeping
     the first half of the stages forward and the rest backward.

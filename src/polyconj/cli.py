@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import bench as bench_mod
-from . import reductions
+from . import _sweep, reductions
 from .conjugacy import decide_conjugate, search_conjugator, verify_certificate
 from .errors import InvalidParameterError, PolyconjError
 from .formats import KINDS, CertificateFile, SolutionFile, parse_instance, serialize_instance
@@ -145,7 +145,7 @@ def _state_cap(text: str) -> int:
 
 
 def _add_state_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-states", type=_state_cap, default=10**7,
+    p.add_argument("--max-states", type=_state_cap, default=_sweep.MAX_STATES,
                    help="cap on the states the reachability sweep may touch (default 10^7)")
 
 

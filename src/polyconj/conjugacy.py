@@ -49,7 +49,7 @@ class Certificate:
 
 
 def reachable_g1_values(
-    ctx: GroupContext, u: GroupElement, max_states: int = 10**7
+    ctx: GroupContext, u: GroupElement, max_states: int = _sweep.MAX_STATES
 ) -> list[_sweep.Stage]:
     """All g_1 exponents attainable by conjugating u with bit-exponent
     products of even-indexed generators: the sweep's stages, g_{2n} first,
@@ -91,14 +91,14 @@ def _conjugator(
 
 
 def decide_conjugate(
-    ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int = 10**7
+    ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int = _sweep.MAX_STATES
 ) -> bool:
     """Whether some w in G(n) satisfies w * u * w^{-1} = v."""
     return _conjugator(ctx, u, v, max_states) is not None
 
 
 def search_conjugator(
-    ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int = 10**7
+    ctx: GroupContext, u: GroupElement, v: GroupElement, max_states: int = _sweep.MAX_STATES
 ) -> Certificate | None:
     """An explicit conjugator, or None exactly when decide_conjugate says no.
 
@@ -118,6 +118,4 @@ def verify_certificate(
     ctx: GroupContext, u: GroupElement, v: GroupElement, cert: Certificate
 ) -> bool:
     """True exactly when cert.w conjugates u onto v."""
-    u, v = _check(ctx, u), _check(ctx, v)
-    _check(ctx, cert.w)
-    return conjugate(ctx, cert.w, u) == v
+    return conjugate(ctx, cert.w, u) == _check(ctx, v)

@@ -51,7 +51,7 @@ not.  All functions are pure; contexts and elements are immutable.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidElementError, InvalidParameterError
@@ -61,17 +61,22 @@ GroupElement = tuple[int, ...]
 
 @dataclass(frozen=True)
 class GroupContext:
-    """Fixes the group G(n); ``hirsch`` = 2n+1 is the generator count."""
+    """Fixes the group G(n); ``hirsch`` = 2n+1, derived from n, is the
+    generator count and the length of every element."""
 
     n: int
-    hirsch: int
+    hirsch: int = field(init=False)
+
+    def __post_init__(self):
+        n = self.n
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InvalidParameterError(f"group parameter n must be a positive integer, got {n!r}")
+        object.__setattr__(self, "hirsch", 2 * n + 1)
 
 
 def make_context(n: int) -> GroupContext:
     """Context for G(n) with generators g_1 .. g_{2n+1}."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"group parameter n must be a positive integer, got {n!r}")
-    return GroupContext(n=n, hirsch=2 * n + 1)
+    return GroupContext(n)
 
 
 def identity(ctx: GroupContext) -> GroupElement:
@@ -88,16 +93,12 @@ def _integer(x) -> int:
 
 def make_element(ctx: GroupContext, exponents: Iterable[int]) -> GroupElement:
     """Validate and canonicalize an exponent sequence for ``ctx``."""
-    vec = tuple(_integer(k) for k in exponents)
-    if len(vec) != ctx.hirsch:
-        raise InvalidElementError(
-            f"expected {ctx.hirsch} exponents for G({ctx.n}), got {len(vec)}"
-        )
-    return vec
+    return _check(ctx, tuple(_integer(k) for k in exponents))
 
 
 def _check(ctx: GroupContext, a: Sequence[int]) -> GroupElement:
-    """``a`` as a tuple, once its length is checked against ``ctx``."""
+    """``a`` as a tuple (an exact tuple as it is), once its length is
+    checked against ``ctx``: the one length test of every element."""
     if len(a) != ctx.hirsch:
         raise InvalidElementError(
             f"element of length {len(a)} does not belong to G({ctx.n}) "

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import _search
+from . import _search, _sweep
 from .errors import InvalidParameterError, InvalidPromiseError, SoundnessError
-from .group import GroupContext, GroupElement, make_context
+from .group import GroupContext, GroupElement, _check, _integer, make_context
 from .tssp import Assignment, TsspInstance, _CoefficientInstance, twisted_sum
 from .tssp import _row_sum, _solve_brute, _solve_dp
 
@@ -51,10 +51,8 @@ class ConjugacyInstance:
     v: GroupElement
 
     def __post_init__(self):
-        if len(self.u) != self.ctx.hirsch or len(self.v) != self.ctx.hirsch:
-            raise InvalidParameterError(
-                f"conjugacy pair must have {self.ctx.hirsch} exponents each"
-            )
+        object.__setattr__(self, "u", _check(self.ctx, self.u))
+        object.__setattr__(self, "v", _check(self.ctx, self.v))
 
 
 def subset_sum(coefficients: Sequence[int], bits: Sequence[int]) -> int:
@@ -75,14 +73,14 @@ def solve_sspprime_brute(inst: SspPrimeInstance, max_n: int = 16) -> SspPrimeSol
     return _solve_brute(inst, max_n)
 
 
-def solve_ssp_dp(inst: SspInstance, max_states: int = 10**7) -> SspSubset | None:
+def solve_ssp_dp(inst: SspInstance, max_states: int = _sweep.MAX_STATES) -> SspSubset | None:
     """A solving subset from the residual sweep, preferring to skip the
     later coefficients."""
     return _solve_dp(inst, max_states)
 
 
 def solve_sspprime_dp(
-    inst: SspPrimeInstance, max_states: int = 10**7
+    inst: SspPrimeInstance, max_states: int = _sweep.MAX_STATES
 ) -> SspPrimeSolution | None:
     """A solving value vector from the residual sweep, preferring 0, then
     -1, at the later coefficients."""
@@ -210,18 +208,13 @@ def assignment_to_conjugator(ctx: GroupContext, assign: Sequence[int]) -> GroupE
             f"assignment has length {len(assign)}, expected {ctx.n}"
         )
     w = [0] * ctx.hirsch
-    for i, x in enumerate(assign, start=1):
-        w[2 * i - 1] = int(x)
+    w[1::2] = map(_integer, assign)
     return tuple(w)
 
 
 def conjugator_to_assignment(ctx: GroupContext, w: GroupElement) -> Assignment:
     """Drop odd-generator syllables and reduce even exponents mod 2."""
-    if len(w) != ctx.hirsch:
-        raise InvalidParameterError(
-            f"element of length {len(w)} does not belong to G({ctx.n})"
-        )
-    return tuple(w[2 * i - 1] & 1 for i in range(1, ctx.n + 1))
+    return tuple(k & 1 for k in _check(ctx, w)[1::2])
 
 
 def pullback_conjugacy_to_tssp(inst: TsspInstance, w: GroupElement) -> Assignment:

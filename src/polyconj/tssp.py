@@ -136,14 +136,14 @@ def solve_tssp_brute(inst: TsspInstance, max_n: int = 25) -> Assignment | None:
     return _solve_brute(inst, max_n)
 
 
-def residual_sweep(inst: TsspInstance, max_states: int = 10**7) -> list[_sweep.Stage]:
+def residual_sweep(inst: TsspInstance, max_states: int = _sweep.MAX_STATES) -> list[_sweep.Stage]:
     """Residual targets reachable after each coefficient, with back-pointers
     whose choice is the bit set at that coefficient."""
     branches = _residual_branches(TsspInstance.ALPHABET)
     return _sweep.sweep(inst.target, inst.coefficients, branches, max_states)
 
 
-def solve_tssp_dp(inst: TsspInstance, max_states: int = 10**7) -> Assignment | None:
+def solve_tssp_dp(inst: TsspInstance, max_states: int = _sweep.MAX_STATES) -> Assignment | None:
     """Solve by the residual sweep plus back-trace from residual 0; where
     both bits reach a residual, the back-trace keeps bit 0."""
     return _solve_dp(inst, max_states)

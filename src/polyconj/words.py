@@ -28,7 +28,7 @@ closed-form arithmetic in :mod:`polyconj.group`.
 from __future__ import annotations
 
 from .errors import InvalidParameterError, OracleTooLargeError
-from .group import GroupContext, GroupElement
+from .group import GroupContext, GroupElement, _check
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
@@ -102,10 +102,7 @@ def collect(ctx: GroupContext, word, strategy: str = "leftmost") -> GroupElement
 
 def element_to_word(ctx: GroupContext, a: GroupElement, max_letters: int = 10_000) -> Word:
     """Unary expansion of a normal form: |k_i| letters per syllable."""
-    if len(a) != ctx.hirsch:
-        raise InvalidParameterError(
-            f"expected {ctx.hirsch} exponents, got {len(a)}"
-        )
+    _check(ctx, a)
     total = sum(abs(k) for k in a)
     if total > max_letters:
         raise OracleTooLargeError(

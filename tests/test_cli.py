@@ -13,6 +13,7 @@ from polyconj import (
     Certificate,
     SolutionFile,
     SspInstance,
+    SspPrimeInstance,
     conjugate,
     conjugator_to_assignment,
     make_context,
@@ -216,6 +217,20 @@ class TestReduceAndPullback:
         code, _, err = run_cli(capsys, "pullback", "sspp-to-ssp", ssp_path, sol_path)
         assert code == 2 and "error" in err
 
+    def test_pullback_rejects_a_solution_of_the_wrong_length(self, write, capsys):
+        ssp_path = write("i.ssp", SspInstance((3, 5), 8))
+        sol_path = write("w.sol", SolutionFile((0, 1, 0)))
+        assert run_cli(capsys, "pullback", "sspp-to-ssp", ssp_path, sol_path) == (
+            2, "", "error: solution has length 3, expected 4 (x then y half)\n"
+        )
+
+    def test_pullback_rejects_an_assignment_entry_that_is_not_a_bit(self, write, capsys):
+        sspp_path = write("i.sspp", SspPrimeInstance((1, 2), 3))
+        sol_path = write("a.sol", SolutionFile((0, 1, -1, 1)))
+        assert run_cli(capsys, "pullback", "tssp-to-sspp", sspp_path, sol_path) == (
+            2, "", "error: assignment entries must be bits\n"
+        )
+
     def test_pipeline_over_generated_instances(self, capsys, tmp_path):
         # every solvable generated instance survives the whole command chain
         from polyconj import GenSpec, generate
@@ -379,6 +394,13 @@ class TestConjCommands:
         assert code == 0
         if action == "search":
             assert parse_instance(out).certificate.w == (0, 1, 0, 0, 0, 1, 0)
+
+    def test_verify_rejects_a_certificate_from_another_group(self, write, capsys):
+        path = write("i.conj", ConjugacyInstance(make_context(1), (0, 0, 5), (-5, 0, 5)))
+        cert = write("w.cert", CertificateFile(make_context(2), Certificate((0, 1, 0, 0, 0))))
+        assert run_cli(capsys, "conj", "verify", path, cert) == (
+            2, "", "error: certificate lives in G(2) but the instance is in G(1)\n"
+        )
 
     def test_verify_needs_certificate_argument(self, write, capsys):
         ctx = make_context(1)

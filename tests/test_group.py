@@ -5,16 +5,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyconj import (
+    Certificate,
+    ConjugacyInstance,
+    GroupContext,
     InvalidElementError,
     InvalidParameterError,
     bit_length,
     conjugate,
     conjugate_by_syllable,
+    conjugator_to_assignment,
+    decide_conjugate,
+    element_to_word,
     identity,
     inverse,
     make_context,
     make_element,
     multiply,
+    reachable_g1_values,
+    search_conjugator,
+    verify_certificate,
 )
 from support import random_element
 
@@ -32,12 +41,54 @@ class TestContext:
     def test_rejects_bad_n(self, bad):
         with pytest.raises(InvalidParameterError):
             make_context(bad)
+        with pytest.raises(InvalidParameterError):
+            GroupContext(bad)
 
     def test_make_element_validates_length(self):
         ctx = ctx_n(1)
         assert make_element(ctx, [1, 2, 3]) == (1, 2, 3)
         with pytest.raises(InvalidElementError):
             make_element(ctx, [1, 2])
+
+    def test_constructor_derives_hirsch(self):
+        assert GroupContext(4) == make_context(4)
+        assert GroupContext(4).hirsch == 9
+        with pytest.raises(TypeError):  # h is not an argument, so it cannot contradict n
+            GroupContext(2, 5)
+
+
+# Every function that takes an element of G(1), each handed one of length 2
+# in one argument; the others are the identity.
+_SHORT = (1, 2)
+_E = (0, 0, 0)
+_TAKES_AN_ELEMENT = {
+    "make_element": lambda ctx: make_element(ctx, _SHORT),
+    "multiply-left": lambda ctx: multiply(ctx, _SHORT, _E),
+    "multiply-right": lambda ctx: multiply(ctx, _E, _SHORT),
+    "inverse": lambda ctx: inverse(ctx, _SHORT),
+    "conjugate-w": lambda ctx: conjugate(ctx, _SHORT, _E),
+    "conjugate-u": lambda ctx: conjugate(ctx, _E, _SHORT),
+    "conjugate_by_syllable": lambda ctx: conjugate_by_syllable(ctx, 2, 1, _SHORT),
+    "bit_length": lambda ctx: bit_length(ctx, _SHORT),
+    "ConjugacyInstance-u": lambda ctx: ConjugacyInstance(ctx, _SHORT, _E),
+    "ConjugacyInstance-v": lambda ctx: ConjugacyInstance(ctx, _E, _SHORT),
+    "conjugator_to_assignment": lambda ctx: conjugator_to_assignment(ctx, _SHORT),
+    "element_to_word": lambda ctx: element_to_word(ctx, _SHORT),
+    "verify_certificate-u": lambda ctx: verify_certificate(ctx, _SHORT, _E, Certificate(_E)),
+    "verify_certificate-v": lambda ctx: verify_certificate(ctx, _E, _SHORT, Certificate(_E)),
+    "verify_certificate-w": lambda ctx: verify_certificate(ctx, _E, _E, Certificate(_SHORT)),
+    "decide_conjugate": lambda ctx: decide_conjugate(ctx, _E, _SHORT),
+    "search_conjugator": lambda ctx: search_conjugator(ctx, _SHORT, _E),
+    "reachable_g1_values": lambda ctx: reachable_g1_values(ctx, _SHORT),
+}
+
+
+@pytest.mark.parametrize("call", list(_TAKES_AN_ELEMENT.values()), ids=list(_TAKES_AN_ELEMENT))
+def test_a_wrong_length_is_one_error_everywhere(call):
+    message = "element of length 2 does not belong to G(1) (expected 3 exponents)"
+    with pytest.raises(InvalidElementError) as caught:
+        call(ctx_n(1))
+    assert str(caught.value) == message
 
 
 class TestMultiply:

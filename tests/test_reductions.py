@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyconj import (
+    ConjugacyInstance,
     InvalidParameterError,
     InvalidPromiseError,
     OracleTooLargeError,
@@ -202,6 +203,8 @@ class TestSspPrimeToTssp:
         assert push_sspprime_solution_to_tssp((-1,)) == (1, 1)
         assert push_sspprime_solution_to_tssp((1,)) == (0, 1)
         assert push_sspprime_solution_to_tssp((0, 0)) == (0, 0, 0, 0)
+        with pytest.raises(InvalidParameterError, match="values must be in"):
+            push_sspprime_solution_to_tssp((2,))
 
     def test_forward_witness_map(self):
         rng = random.Random(34)
@@ -253,6 +256,28 @@ class TestTsspToConjugacy:
         ctx2 = make_context(2)
         assert assignment_to_conjugator(ctx2, (1, 1)) == (0, 1, 0, 1, 0)
         assert assignment_to_conjugator(ctx2, (0, 0)) == (0, 0, 0, 0, 0)
+        with pytest.raises(InvalidParameterError, match="assignment has length 2, expected 1"):
+            assignment_to_conjugator(ctx, (1, 0))
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, "1", None])
+    def test_conjugator_mapping_refuses_non_integer_entries(self, x):
+        # read with int(), 0.5 would truncate to 0 and "1" parse to g_4's exponent 1
+        with pytest.raises(InvalidParameterError, match="expected an integer"):
+            assignment_to_conjugator(make_context(2), (1, x))
+
+    def test_conjugator_mapping_keeps_bools_and_numpy_ints(self):
+        np = pytest.importorskip("numpy")
+        ctx = make_context(2)
+        assert assignment_to_conjugator(ctx, (True, False)) == (0, 1, 0, 0, 0)
+        w = assignment_to_conjugator(ctx, (np.int64(1), np.int8(1)))
+        assert w == (0, 1, 0, 1, 0) and all(type(k) is int for k in w)
+
+    def test_instance_holds_checked_tuples(self):
+        ctx = make_context(1)
+        inst = ConjugacyInstance(ctx, [0, 0, 5], [-5, 0, 5])
+        assert inst.u == (0, 0, 5) and type(inst.u) is tuple and type(inst.v) is tuple
+        u = (0, 0, 5)
+        assert ConjugacyInstance(ctx, u, u).u is u  # an exact tuple is not copied
 
     def test_assignment_extraction(self):
         ctx = make_context(1)

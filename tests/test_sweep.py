@@ -21,6 +21,14 @@ BRANCH_TABLES = {
     "sspp": ((1, 0), (1, -1), (1, 1)),
     "ssp": ((1, 0), (1, 1)),
 }
+# Tables whose first branch is not the identity (1, 0), so the dict step's
+# other first-branch forms run too.  The representation tests keep to
+# BRANCH_TABLES, whose row and set patterns they pin.
+FIRST_BRANCH_TABLES = {
+    "flip-first": ((-1, 1), (1, 0)),
+    "shift-first": ((1, 2), (-1, 0)),
+}
+ALL_TABLES = {**BRANCH_TABLES, **FIRST_BRANCH_TABLES}
 
 
 def apply(branch, s, e):
@@ -42,9 +50,9 @@ def brute_stage_sets(start, addends, branches):
     return sets
 
 
-@pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
+@pytest.mark.parametrize("kind", sorted(ALL_TABLES))
 def test_stage_sets_match_brute_enumeration(kind):
-    branches = BRANCH_TABLES[kind]
+    branches = ALL_TABLES[kind]
     rng = random.Random(31)
     for _ in range(150):
         addends = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
@@ -53,9 +61,9 @@ def test_stage_sets_match_brute_enumeration(kind):
         assert [set(stage) for stage in stages] == brute_stage_sets(start, addends, branches)
 
 
-@pytest.mark.parametrize("kind", sorted(BRANCH_TABLES))
+@pytest.mark.parametrize("kind", sorted(ALL_TABLES))
 def test_back_pointers_replay_and_prefer_low_branches(kind):
-    branches = BRANCH_TABLES[kind]
+    branches = ALL_TABLES[kind]
     rng = random.Random(32)
     for _ in range(150):
         addends = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
@@ -96,7 +104,7 @@ def test_state_cap_counts_every_stage():
 
 @settings(max_examples=400, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(BRANCH_TABLES)),
+    kind=st.sampled_from(sorted(ALL_TABLES)),
     addends=st.lists(
         st.one_of(st.sampled_from((0, 1, -1, 3)), st.integers(-40, 40)), min_size=1, max_size=10
     ),
@@ -106,7 +114,7 @@ def test_state_cap_counts_every_stage():
 def test_meet_is_the_full_sweeps_trace(kind, addends, start, data):
     # zero and repeated addends make branches collide; a free final is
     # usually unreachable, a replayed one always reachable
-    branches = BRANCH_TABLES[kind]
+    branches = ALL_TABLES[kind]
     if data.draw(st.booleans()):
         final = data.draw(st.integers(-100, 100))
     else:
@@ -132,7 +140,7 @@ def test_meet_state_cap_counts_both_halves():
 
 @settings(max_examples=400, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(BRANCH_TABLES)),
+    kind=st.sampled_from(sorted(ALL_TABLES)),
     addends=st.lists(
         st.one_of(st.sampled_from((0, 1, -1, 3)), st.integers(-40, 40)), min_size=1, max_size=14
     ),
@@ -143,7 +151,7 @@ def test_meet_state_cap_counts_both_halves():
     data=st.data(),
 )
 def test_reach_is_the_full_sweeps_trace(kind, addends, spike, start, data):
-    branches = BRANCH_TABLES[kind]
+    branches = ALL_TABLES[kind]
     if spike is not None:
         addends[spike[0] % len(addends)] = spike[1]
     if data.draw(st.booleans()):
@@ -306,7 +314,7 @@ def replayed_or_free_final(data, start, addends, branches):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(BRANCH_TABLES)),
+    kind=st.sampled_from(sorted(ALL_TABLES)),
     addends=st.lists(
         st.one_of(st.sampled_from((0, 1, -1, 3)), st.integers(-40, 40)), min_size=1, max_size=10
     ),
@@ -317,7 +325,7 @@ def replayed_or_free_final(data, start, addends, branches):
 def test_every_split_is_the_full_sweeps_trace(kind, addends, spike, start, data):
     # reach splits after the last stage and meet at the middle; any split
     # must give the full sweep's very trace
-    branches = BRANCH_TABLES[kind]
+    branches = ALL_TABLES[kind]
     if spike is not None:
         addends[spike[0] % len(addends)] = spike[1]
     final = replayed_or_free_final(data, start, addends, branches)
@@ -446,7 +454,7 @@ def test_row_path_pass_holds_the_values_of_both_halves(monkeypatch, kind):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(BRANCH_TABLES)),
+    kind=st.sampled_from(sorted(ALL_TABLES)),
     m=st.integers(1, 30),
     start=st.one_of(st.integers(-20, 20), st.integers(10**30 - 500, 10**30 + 500)),
     cap=st.one_of(st.just(10**7), st.integers(1, 30000)),
@@ -456,7 +464,7 @@ def test_wide_rows_at_every_split_give_the_full_sweeps_trace(kind, m, start, cap
     # addends up to +-500 make rows of thousands of cells, and the path pass
     # shifts them both ways; every split gives the full sweep's trace, or
     # fails the cap at the stage its forward and backward counts pass it
-    branches = BRANCH_TABLES[kind]
+    branches = ALL_TABLES[kind]
     addends = data.draw(st.lists(st.integers(-500, 500), min_size=m, max_size=m))
     if data.draw(st.booleans()):
         final = data.draw(st.sampled_from((start, -start))) + data.draw(st.integers(-3000, 3000))

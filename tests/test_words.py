@@ -32,6 +32,9 @@ class TestCollect:
             collect(ctx, [(2, 2)])
         with pytest.raises(InvalidParameterError):
             collect(ctx, [(2, 1)], strategy="middle")
+        for letter in ((1,), (1, 1, 1), 5, None):
+            with pytest.raises(InvalidParameterError, match="letter 1 is not an .index, sign. pair"):
+                collect(ctx, [(2, 1), letter])
 
     def test_matches_multiply_fold_random(self):
         # group_core and the letter-level oracle implement the same collection
