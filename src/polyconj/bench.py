@@ -18,6 +18,8 @@ touches:
   like n * S.  ``seconds`` times the dict sweep ``residual_sweep`` and
   ``dp_seconds`` the solver ``solve_tssp_dp``, whose stages are dense rows
   here.
+
+One timer, ``_best``, and one row builder, ``_rows``, serve every suite.
 """
 
 from __future__ import annotations
@@ -55,75 +57,49 @@ def _adversarial_instance(rng: random.Random, n: int, bit_length: int) -> TsspIn
     return TsspInstance(coefficients=coeffs, target=twisted_sum(coeffs, bits))
 
 
-def _timed_sweep(inst: TsspInstance, repeats: int) -> tuple[float, int]:
+def _best(call, repeats: int):
+    """``(seconds, result)``: the best wall time of ``repeats`` calls of ``call``."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        stages = residual_sweep(inst)
+        result = call()
         best = min(best, time.perf_counter() - start)
-    return best, sum(len(stage) for stage in stages)
+    return best, result
+
+
+def _rows(cases, repeats: int = 1, **extra) -> list[dict]:
+    """One row per ``(fields, instance)`` case: the fields, S, the best of
+    ``repeats`` ``residual_sweep`` times and its state count, then each
+    ``extra`` column timing one ``call(instance)``."""
+    rows = []
+    for fields, inst in cases:
+        seconds, stages = _best(lambda: residual_sweep(inst), repeats)
+        row = {**fields, "S": inst.abs_sum, "seconds": seconds, "states": sum(map(len, stages))}
+        for column, call in extra.items():
+            row[column] = _best(lambda: call(inst), 1)[0]
+        rows.append(row)
+    return rows
 
 
 def scaling_rows(seed: int = 20250809) -> list[dict]:
     rng = random.Random(seed)
-    rows = []
-    for total in SCALING_SUMS:
-        inst = _scaled_instance(rng, SCALING_N, total)
-        seconds, states = _timed_sweep(inst, repeats=3)
-        rows.append(
-            {
-                "n": SCALING_N,
-                "S": total,
-                "seconds": seconds,
-                "states": states,
-            }
-        )
-    return rows
+    cases = (({"n": SCALING_N}, _scaled_instance(rng, SCALING_N, total)) for total in SCALING_SUMS)
+    return _rows(cases, repeats=3)
 
 
 def adversarial_rows(seed: int = 20250809) -> list[dict]:
     rng = random.Random(seed)
-    rows = []
-    for bits in ADVERSARIAL_BITS:
-        inst = _adversarial_instance(rng, ADVERSARIAL_N, bits)
-        seconds, states = _timed_sweep(inst, repeats=1)
-        branches = _residual_branches(TsspInstance.ALPHABET)
-        start = time.perf_counter()
-        _sweep.meet(inst.target, 0, inst.coefficients, branches)
-        meet_seconds = time.perf_counter() - start
-        rows.append(
-            {
-                "n": ADVERSARIAL_N,
-                "coefficient_bits": bits,
-                "S": inst.abs_sum,
-                "seconds": seconds,
-                "states": states,
-                "meet_seconds": meet_seconds,
-            }
-        )
-    return rows
+    branches = _residual_branches(TsspInstance.ALPHABET)
+    cases = (({"n": ADVERSARIAL_N, "coefficient_bits": bits},
+              _adversarial_instance(rng, ADVERSARIAL_N, bits)) for bits in ADVERSARIAL_BITS)
+    return _rows(cases, meet_seconds=lambda i: _sweep.meet(i.target, 0, i.coefficients, branches))
 
 
 def dense_rows(seed: int = 20250809) -> list[dict]:
     rng = random.Random(seed)
-    rows = []
-    for n in DENSE_NS:
-        for bound in DENSE_BOUNDS:
-            inst = generate(GenSpec("tssp", n, bound, rng.randrange(2**32), solvable=True))
-            seconds, states = _timed_sweep(inst, repeats=1)
-            start = time.perf_counter()
-            solve_tssp_dp(inst)
-            dp_seconds = time.perf_counter() - start
-            rows.append(
-                {
-                    "n": n,
-                    "S": inst.abs_sum,
-                    "states": states,
-                    "seconds": seconds,
-                    "dp_seconds": dp_seconds,
-                }
-            )
-    return rows
+    cases = (({"n": n}, generate(GenSpec("tssp", n, bound, rng.randrange(2**32), solvable=True)))
+             for n in DENSE_NS for bound in DENSE_BOUNDS)
+    return _rows(cases, dp_seconds=solve_tssp_dp)
 
 
 # suite name -> (title, rows(seed), columns), in the order ``all`` prints them

@@ -102,6 +102,12 @@ def _cmd_pullback(args) -> int:
 
 
 def _cmd_conj(args) -> int:
+    if args.action == "verify" and args.certificate is None:
+        raise InvalidParameterError("conj verify needs both an instance and a cert file")
+    if args.action != "verify" and args.certificate is not None:
+        raise InvalidParameterError(
+            f"conj {args.action} takes one instance file, got extra {args.certificate!r}"
+        )
     inst = _load(args.file, "conj")
     if args.action == "decide":
         return 0 if decide_conjugate(inst.ctx, inst.u, inst.v, max_states=args.max_states) else 1
@@ -160,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     routes = [(a, b) for i, a in enumerate(CHAIN) for b in CHAIN[i + 1:]]
 
     p = sub.add_parser("solve", help="decide an instance and print a witness when one exists")
-    p.add_argument("problem", choices=("ssp", "sspp", "tssp"))
+    p.add_argument("problem", choices=CHAIN[:-1])
     p.add_argument("file", help="instance file")
     p.add_argument("--method", choices=("brute", "dp"), default="dp",
                    help="brute enumeration or the pseudo-polynomial sweep (default)")
@@ -188,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conj)
 
     p = sub.add_parser("gen", help="generate a random instance deterministically")
-    p.add_argument("kind", choices=("ssp", "sspp", "tssp", "conj"))
+    p.add_argument("kind", choices=CHAIN)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -212,12 +218,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "conj" and args.action == "verify" and args.certificate is None:
-            raise InvalidParameterError("conj verify needs both an instance and a cert file")
-        if args.command == "conj" and args.action != "verify" and args.certificate is not None:
-            raise InvalidParameterError(
-                f"conj {args.action} takes one instance file, got extra {args.certificate!r}"
-            )
         return args.func(args)
     except (PolyconjError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

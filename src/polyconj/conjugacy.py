@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from . import _sweep
 from .errors import NotAllEvenError, SoundnessError
-from .group import GroupContext, GroupElement, _check, conjugate
+from .group import GroupContext, GroupElement, _check, _integer, conjugate
 from .reductions import assignment_to_conjugator
 
 # Sweep branches (sign, weight): s -> s skips g_j, s -> -e - s uses it.
@@ -117,5 +117,7 @@ def search_conjugator(
 def verify_certificate(
     ctx: GroupContext, u: GroupElement, v: GroupElement, cert: Certificate
 ) -> bool:
-    """True exactly when cert.w conjugates u onto v."""
-    return conjugate(ctx, cert.w, u) == _check(ctx, v)
+    """True exactly when cert.w conjugates u onto v; an entry of w that is
+    not an integer is refused."""
+    w = cert.w if {int}.issuperset(map(type, cert.w)) else tuple(map(_integer, cert.w))
+    return conjugate(ctx, w, u) == _check(ctx, v)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .conjugacy import Certificate
 from .errors import InstanceParseError, InvalidParameterError
 from .group import GroupContext, make_context
-from .reductions import ConjugacyInstance, SspInstance, SspPrimeInstance
+from .reductions import CHAIN, ConjugacyInstance, SspInstance, SspPrimeInstance
 from .tssp import TsspInstance
 
 _TOKEN = re.compile(r"\S+")
@@ -170,7 +170,7 @@ def parse_instance(text: str) -> ParsedFile:
     if n < 1:
         raise InstanceParseError(f"size n must be >= 1, got {n}", ntok[0], ntok[1])
 
-    if kind in ("ssp", "sspp", "tssp"):
+    if kind in CHAIN[:-1]:
         coeffs = _int_row(cursor, n, "coefficient row")
         target = _int_row(cursor, 1, "target row")[0]
         cursor.finish()

@@ -12,14 +12,12 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
+from .formats import KINDS
 from .group import conjugate, make_context
-from .reductions import ConjugacyInstance, SspInstance, SspPrimeInstance
-from .tssp import TsspInstance, _row_sum
+from .reductions import CHAIN, ConjugacyInstance
+from .tssp import _row_sum
 
-# The instance class of each subset-sum kind; its ALPHABET gives the values
-# a solvable-bias witness entry is drawn between and the sum it reaches.
-_SUBSET_KINDS = {"ssp": SspInstance, "sspp": SspPrimeInstance, "tssp": TsspInstance}
-GENERATABLE_KINDS = (*_SUBSET_KINDS, "conj")
+GENERATABLE_KINDS = CHAIN
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,9 @@ def generate(spec: GenSpec):
         v[0] = rng.randint(-bound * (n + 1), bound * (n + 1))
         return ConjugacyInstance(ctx=ctx, u=u, v=tuple(v))
 
-    cls = _SUBSET_KINDS[spec.kind]
+    # the instance class's ALPHABET gives the values a solvable-bias witness
+    # entry is drawn between and the sum it reaches
+    cls = KINDS[spec.kind]
     coeffs = tuple(rng.randint(-bound, bound) for _ in range(n))
     if spec.solvable:
         values = [row[0] for row in cls.ALPHABET]

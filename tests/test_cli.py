@@ -231,6 +231,18 @@ class TestReduceAndPullback:
             2, "", "error: assignment entries must be bits\n"
         )
 
+    def test_pullback_rejects_an_assignment_of_the_wrong_length(self, write, capsys):
+        code, ssp_text, _ = run_cli(capsys, "gen", "ssp", "--n", "5", "--bound", "10", "--seed", "1",
+                                    "--solvable")
+        assert code == 0
+        code, sspp_text, _ = run_cli(capsys, "reduce", "ssp-to-sspp", write("i.ssp", ssp_text))
+        assert code == 0
+        sspp_path = write("i.sspp", sspp_text)
+        sol_path = write("a.sol", "sol\n3\n1 0 1\n")
+        assert run_cli(capsys, "pullback", "tssp-to-sspp", sspp_path, sol_path) == (
+            2, "", "error: assignment has length 3, expected 20\n"
+        )
+
     def test_pipeline_over_generated_instances(self, capsys, tmp_path):
         # every solvable generated instance survives the whole command chain
         from polyconj import GenSpec, generate
@@ -414,6 +426,17 @@ class TestConjCommands:
         path = write("i.conj", ConjugacyInstance(ctx, (0, 0, 5), (-5, 0, 5)))
         code, out, err = run_cli(capsys, "conj", action, path, "nonexistent.file")
         assert code == 2 and out == "" and err.startswith("error:") and "extra" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "a.conj"), "conj verify needs both an instance and a cert file"),
+        (("decide", "a.conj", "b"), "conj decide takes one instance file, got extra 'b'"),
+    ])
+    def test_wrong_number_of_files_is_refused_before_any_is_read(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        # neither file exists: the arity refusal comes first
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "conj", *argv) == (2, "", f"error: {message}\n")
 
 
 class TestGen:

@@ -162,6 +162,19 @@ class TestSearchAndVerify:
             ctx, (0, 0, 5), (-5, 0, 5), Certificate(identity(ctx))
         )
 
+    @pytest.mark.parametrize("entry", [0.5, 1.0, "1", None])
+    def test_verify_refuses_a_non_integer_entry(self, entry):
+        with pytest.raises(InvalidParameterError, match="expected an integer"):
+            verify_certificate(make_context(1), (0, 2, 3), (0, 2, 3), Certificate(w=(entry, 0, 0)))
+
+    def test_verify_reads_bool_and_numpy_entries_as_integers(self):
+        np = pytest.importorskip("numpy")
+        ctx = make_context(1)
+        for one in (True, np.int64(1)):
+            assert verify_certificate(ctx, (0, 0, 5), (-5, 0, 5), Certificate((0, one, 0)))
+            assert not verify_certificate(ctx, (0, 0, 5), (-5, 0, 5), Certificate((one, 0, 0)))
+            assert not verify_certificate(ctx, (4, 1, -2), (4, 1, -2), Certificate((one, 0, 0)))
+
     def test_fast_path_formula_is_exact(self):
         rng = random.Random(43)
         for _ in range(500):

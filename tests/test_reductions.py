@@ -225,6 +225,10 @@ class TestSspPrimeToTssp:
         with pytest.raises(SoundnessError):
             pullback_tssp_to_sspprime(inst, (0, 1))
 
+    def test_pullback_refuses_an_assignment_of_the_wrong_length(self):
+        with pytest.raises(SoundnessError, match=r"^assignment has length 3, expected 2$"):
+            pullback_tssp_to_sspprime(SspPrimeInstance((3,), 3), (0, 1, 0))
+
     def test_pullback_round_trip(self):
         rng = random.Random(35)
         for _ in range(300):
